@@ -28,8 +28,7 @@ service execute (one point codec across all three; see
         base={"instructions": 8_000}))
 
 Advanced internals (hand-built traces, direct pipeline access, engine
-plumbing) live in :mod:`repro.api.advanced`; the old top-level aliases
-still resolve but raise :class:`DeprecationWarning`.
+plumbing) live in :mod:`repro.api.advanced`.
 
 Verbs:
 
@@ -44,9 +43,8 @@ Verbs:
   result (see ``docs/observability.md``).
 """
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis import (
     SCHEME_MATRIX,
@@ -92,28 +90,9 @@ __all__ = [
     "advanced",
 ]
 
-#: Names that used to live here and now live in :mod:`repro.api.advanced`.
-#: Resolved lazily with a deprecation warning so old imports keep working.
-_MOVED_TO_ADVANCED = (
-    "EngineOptions", "ExecutionEngine", "InstrClass", "MicroOp",
-    "Processor", "RunRequest", "Trace", "get_engine", "simulate_trace",
-    "small_config", "use_engine",
-)
-
 SchemeLike = Union[str, SchemeConfig]
 ConfigLike = Union[str, MachineConfig]
 WorkloadLike = Union[str, WorkloadSpec, SyntheticWorkload]
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_ADVANCED:
-        warnings.warn(
-            f"repro.api.{name} has moved to repro.api.advanced."
-            f"{name}; the repro.api alias will be removed",
-            DeprecationWarning, stacklevel=2)
-        from repro.api import advanced as _advanced
-        return getattr(_advanced, name)
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
 
 
 # -- coercion ------------------------------------------------------------
@@ -213,6 +192,19 @@ def sweep(workloads: Union[GridSpec, GridExpansion, Iterable[WorkloadLike]],
                 baseline=baseline)
         expansion = spec.expand()
 
+    # Results are keyed by (scheme label, workload display name), so two
+    # different workloads may not share a name under one label.
+    names: List[str] = []
+    workload_of: Dict[Tuple[str, str], Any] = {}
+    for point in expansion.points:
+        workload = point["workload"]
+        name = workload if isinstance(workload, str) else workload["name"]
+        if workload_of.setdefault((point["scheme"], name), workload) != workload:
+            raise ConfigError(
+                f"two different workloads are both named {name!r} under "
+                f"scheme {point['scheme']!r}; give each a distinct name")
+        names.append(name)
+
     engine = _get_engine()
     stats = engine.stats
     before = (stats.memo_hits, stats.disk_hits, stats.executed)
@@ -220,9 +212,7 @@ def sweep(workloads: Union[GridSpec, GridExpansion, Iterable[WorkloadLike]],
     after = (stats.memo_hits, stats.disk_hits, stats.executed)
 
     grid: Dict[str, Dict[str, SimulationResult]] = {}
-    for point, result in zip(expansion.points, results):
-        workload = point["workload"]
-        name = workload if isinstance(workload, str) else workload["name"]
+    for point, name, result in zip(expansion.points, names, results):
         grid.setdefault(point["scheme"], {})[name] = result
     unique = len(expansion)
     executed = after[2] - before[2]

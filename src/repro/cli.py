@@ -569,47 +569,36 @@ def cmd_sweep(args) -> int:
                            title="Sweep presets"))
         return 0
 
-    client = None
     engine = None
     workers = None
     try:
         spec = _sweep_spec(args)
-        if args.workers:
-            if args.service:
-                print("repro sweep: pass --workers or --service, not both",
-                      file=sys.stderr)
-                return 2
-            spec_text = args.workers.strip()
-            # A plain integer is a local pool size; anything with a
-            # comma or colon is a service endpoint list (a single bare
-            # port must be written HOST:PORT or PORT, — to fan out to
-            # one service, prefer --service PORT anyway).
-            if spec_text.isdigit():
-                workers = int(spec_text)
-                from repro.exec import get_engine
-                engine = get_engine(_engine_options(args))
-            else:
-                from repro.service import RetryPolicy, ServiceClient
-                policy = RetryPolicy(max_total_wait=args.max_retry_wait)
-                workers = []
-                for endpoint in spec_text.split(","):
-                    endpoint = endpoint.strip()
-                    if not endpoint:
-                        continue
-                    host, _, port = endpoint.rpartition(":")
-                    workers.append(ServiceClient(
-                        host=host or "127.0.0.1", port=int(port),
-                        timeout=args.timeout, retry=policy))
-        elif args.service:
+        if args.workers and args.service:
+            print("repro sweep: pass --workers or --service, not both",
+                  file=sys.stderr)
+            return 2
+        # A plain --workers integer is a local pool size.  Any other
+        # --workers value, and every --service value, is a list of
+        # [HOST:]PORT endpoints (write a lone bare port as --service
+        # PORT, or as --workers "PORT," with a trailing comma).
+        text = (args.service or args.workers or "").strip()
+        if text and (args.service or not text.isdigit()):
             from repro.service import RetryPolicy, ServiceClient
-            host, _, port = args.service.rpartition(":")
-            client = ServiceClient(
-                host=host or "127.0.0.1", port=int(port),
-                timeout=args.timeout,
-                retry=RetryPolicy(max_total_wait=args.max_retry_wait))
+            policy = RetryPolicy(max_total_wait=args.max_retry_wait)
+            workers = []
+            for endpoint in text.split(","):
+                endpoint = endpoint.strip()
+                if not endpoint:
+                    continue
+                host, _, port = endpoint.rpartition(":")
+                workers.append(ServiceClient(
+                    host=host or "127.0.0.1", port=int(port),
+                    timeout=args.timeout, retry=policy))
         else:
             from repro.exec import get_engine
             engine = get_engine(_engine_options(args))
+            if text:
+                workers = int(text)
 
         def progress(done, total, point, source):
             if args.quiet:
@@ -620,8 +609,7 @@ def cmd_sweep(args) -> int:
             print(f"  [{done:>{width}}/{total}] {source:7s} "
                   f"{point['scheme']} / {name}", file=sys.stderr)
 
-        outcome = run_sweep(spec, engine=engine, client=client,
-                            ledger=args.ledger, chunk=args.chunk,
+        outcome = run_sweep(spec, engine=engine, ledger=args.ledger,
                             progress=progress, limit=args.limit,
                             workers=workers)
     except ReproError as exc:
@@ -864,9 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "the same grid resumes, skipping completed points")
     p.add_argument("--service", default=None, metavar="[HOST:]PORT",
                    help="execute through a running `repro serve` instance "
-                        "instead of the local engine")
+                        "instead of the local engine (the same as "
+                        "--workers HOST:PORT)")
     p.add_argument("--workers", default=None, metavar="N|HOST:PORT,...",
-                   help="fan the sweep out: an integer runs a local pool "
+                   help="fan the sweep out (default: the local engine as "
+                        "one worker): an integer runs a local pool "
                         "of N single-slot engine processes; a comma list "
                         "of [HOST:]PORT endpoints partitions points "
                         "across several `repro serve` instances (the "
@@ -878,8 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total backpressure budget: cumulative seconds a "
                         "saturated service (429 + Retry-After) may keep "
                         "one point waiting before the sweep gives up")
-    p.add_argument("--chunk", type=int, default=64, metavar="N",
-                   help="points per engine batch / service request")
     p.add_argument("--limit", type=int, default=None, metavar="N",
                    help="simulate at most N missing points this invocation "
                         "(the ledger makes the rest resumable)")

@@ -10,13 +10,14 @@ deduplication and disk caching sound.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
 from repro.sim.config import MachineConfig
-from repro.workloads import SyntheticWorkload, WorkloadSpec, get_workload
+from repro.workloads import (SyntheticWorkload, WorkloadSpec, get_workload,
+                             workload_identity)
 
 #: Bump when the request-hash or result-serialization format changes
 #: incompatibly; stale cache entries then simply stop matching.
@@ -93,15 +94,12 @@ class RunRequest:
 
     def cache_key(self) -> str:
         """Stable sha256 content-address of this design point."""
-        workload = (
-            self.workload if isinstance(self.workload, str) else asdict(self.workload)
-        )
         blob = json.dumps(
             {
                 "schema": CACHE_SCHEMA_VERSION,
                 "sim": simulator_fingerprint(),
                 "config": self.config.cache_key(),
-                "workload": workload,
+                "workload": workload_identity(self.workload),
                 "budget": self.budget,
                 "seed": self.seed,
             },

@@ -9,6 +9,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.soa import KernelBuffers
+from repro.workloads import workload_identity
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -93,15 +94,17 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
     """Run a batch of design points in request order, amortizing setup.
 
     Each request carries ``config`` (a :class:`MachineConfig`),
-    ``workload`` (a suite name, a ``WorkloadSpec``, or any object with
-    ``generate(n)``), ``budget`` (``None`` for the environment default)
+    ``workload`` (a suite name, a ``WorkloadSpec``, or a
+    ``SyntheticWorkload``), ``budget`` (``None`` for the environment default)
     and ``seed`` — :class:`repro.exec.request.RunRequest` satisfies the
     protocol as-is.
 
     Batch-level amortization, behaviour-neutral per element:
 
     * one generated trace — and therefore one SoA column decode — per
-      distinct (workload, budget) pair;
+      distinct (workload identity, budget) pair, where the identity is
+      :func:`~repro.workloads.base.workload_identity`, the same one the
+      result cache key hashes;
     * one slot-pool allocation per machine geometry, threaded between
       elements via ``Processor.soa_buffers``.
 
@@ -117,11 +120,10 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
         budget = request.budget
         if budget is None:
             budget = instruction_budget()
-        workload = _resolve_workload(request.workload)
-        trace_key = (getattr(workload, "name", repr(request.workload)), budget)
+        trace_key = (workload_identity(request.workload), budget)
         trace = traces.get(trace_key)
         if trace is None:
-            trace = workload.generate(budget + 2_000)
+            trace = _resolve_workload(request.workload).generate(budget + 2_000)
             traces[trace_key] = trace
         processor = Processor(config, trace, seed=request.seed)
         pool = config.rob_size + config.fetch_buffer + 8

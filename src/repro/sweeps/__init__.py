@@ -7,8 +7,8 @@ The pipeline (see ``docs/sweeps.md``):
   design points through the one point codec (:mod:`repro.sweeps.points`,
   also the grammar of the HTTP service);
 * :func:`run_sweep` (:mod:`repro.sweeps.orchestrator`) — executes a grid
-  through the local :class:`~repro.exec.engine.ExecutionEngine` or a
-  running sharded service, streaming to a resumable JSONL
+  through one worker pool (:mod:`repro.sweeps.fanout`) of local
+  engines or running sharded services, streaming to a resumable JSONL
   :class:`SweepLedger` with cache-hit/dedup accounting;
 * :class:`SweepReport` (:mod:`repro.sweeps.report`) — pivots a completed
   ledger into paper-figure-style tables and a schema-gated
@@ -25,7 +25,7 @@ from repro.sweeps.grid import (
     GridSpec,
     get_preset,
 )
-from repro.sweeps.fanout import FanoutError, run_fanout
+from repro.sweeps.fanout import run_fanout
 from repro.sweeps.ledger import LedgerError, SweepLedger, read_ledger
 from repro.sweeps.orchestrator import (
     SweepAccounting,
@@ -52,7 +52,6 @@ __all__ = [
     "NAMED_CONFIGS",
     "PRESETS",
     "SCHEME_AXES",
-    "FanoutError",
     "GridError",
     "GridExpansion",
     "GridSpec",

@@ -1,11 +1,11 @@
 """Fan a sweep's missing points out across a pool of backends.
 
-:func:`run_fanout` is the multi-worker execution stage of
-:func:`repro.sweeps.orchestrator.run_sweep` (``workers=``): it
-partitions the pending points of a grid across N backends — several
-``repro serve`` instances, or a local pool of single-slot engine
-processes — and streams completed entries back into the one
-:class:`~repro.sweeps.ledger.SweepLedger`.
+:func:`run_fanout` is the one execution stage of
+:func:`repro.sweeps.orchestrator.run_sweep`: it partitions the pending
+points of a grid across a pool of backends — the caller's engine as a
+single worker (the default), a local pool of single-slot engine
+processes, or several ``repro serve`` instances — and streams completed
+entries back into the one :class:`~repro.sweeps.ledger.SweepLedger`.
 
 Design, in the order the invariants demand it:
 
@@ -40,22 +40,23 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.exec.engine import ExecutionEngine
+from repro.exec.engine import ExecutionEngine, get_engine
 from repro.exec.request import RunRequest
 from repro.sweeps.ledger import SweepLedger
 from repro.sweeps.points import ledger_entry
 from repro.sweeps.result import WorkerStats
 from repro.utils.sync import holds, make_lock
 
-__all__ = ["FanoutError", "run_fanout"]
+__all__ = ["SweepError", "run_fanout"]
 
 #: A point is attempted at most this many times (original + one retry
 #: on a different worker) before it is reported failed by name.
 MAX_POINT_ATTEMPTS = 2
 
 
-class FanoutError(ReproError):
-    """A failure that invalidates the whole fan-out (backend mismatch)."""
+class SweepError(ReproError):
+    """The sweep cannot proceed: bad arguments, a crashed worker, or a
+    backend that disagrees on a point's content address or result count."""
 
 
 @dataclass
@@ -313,10 +314,6 @@ class _OrderedWriter:
         tail behind it still reaches the ledger."""
         self._deposit(task.seq, None)
 
-    def done_count(self) -> int:
-        with self._lock:
-            return self._done
-
     def _deposit(self, seq: int,
                  item: Optional[Tuple[int, str, Dict[str, Any], str]]) -> None:
         with self._lock:
@@ -355,40 +352,56 @@ class _OrderedWriter:
 # ---------------------------------------------------------------------------
 
 class _LocalWorker:
-    """One slot of the local pool: a private single-slot engine whose
-    simulations run offloaded in a worker process, so N workers occupy
-    N cores instead of contending for one GIL."""
+    """One slot of the local pool: an engine that runs each claimed batch
+    as one ``engine.run``.
+
+    A pool of N gives each worker a private single-slot engine whose
+    simulations run offloaded, so N workers occupy N cores instead of
+    contending for one GIL; the worker closes it when done.  The default
+    pool borrows the caller's engine (``owned=False``), leaves it open,
+    and restores its ``progress`` callback after every batch.
+    """
 
     kind = "local"
 
     def __init__(self, name: str,
-                 engine_factory: Callable[[], ExecutionEngine]) -> None:
+                 engine_factory: Callable[[], ExecutionEngine],
+                 owned: bool = True) -> None:
         self.name = name
         self._factory = engine_factory
+        self._owned = owned
         self.engine: Optional[ExecutionEngine] = None
+        self._before = (0, 0, 0)
 
     def start(self) -> None:
         self.engine = self._factory()
+        self._before = _engine_counts(self.engine)
 
     def execute(self, tasks: Sequence[_Task]
                 ) -> List[Tuple[_Task, Dict[str, Any], str]]:
         engine = self.engine
         assert engine is not None
         sources: Dict[str, str] = {}
+        prev = engine.progress
 
         def trap(done: int, total: int, request: RunRequest,
                  source: str) -> None:
             sources[request.cache_key()] = source
+            if prev is not None:
+                prev(done, total, request, source)
 
         engine.progress = trap
         try:
             results = engine.run([task.request for task in tasks])
         finally:
-            engine.progress = None
+            engine.progress = prev
         out = []
         for task, result in zip(tasks, results):
             entry = ledger_entry(task.request, result.summary(),
                                  result.counters.as_dict(), key=task.key)
+            # Grid dedup makes every claimed key unique, so the engine
+            # reports each one; "unknown" flags the anomaly rather than
+            # inventing a cache attribution.
             out.append((task, entry, sources.get(task.key, "unknown")))
         return out
 
@@ -396,12 +409,27 @@ class _LocalWorker:
         engine = self.engine
         if engine is None:
             return
-        # The engine was born for this worker, so its lifetime totals
-        # ARE this worker's share.
-        stats.executed = engine.stats.executed
-        stats.memo_hits = engine.stats.memo_hits
-        stats.disk_hits = engine.stats.disk_hits
-        engine.close()
+        after = _engine_counts(engine)
+        stats.executed, stats.memo_hits, stats.disk_hits = (
+            now - then for now, then in zip(after, self._before))
+        if self._owned:
+            engine.close()
+
+
+def _engine_counts(engine: Any) -> Tuple[int, int, int]:
+    stats = engine.stats
+    return stats.executed, stats.memo_hits, stats.disk_hits
+
+
+def _service_engine_stats(client: Any) -> Dict[str, float]:
+    """Best-effort aggregate engine stats from a service /metrics scrape."""
+    try:
+        snapshot = client.metrics()
+        engine = snapshot.get("engine", {})
+        return {key: engine.get(key, 0)
+                for key in ("executed", "memo_hits", "disk_hits")}
+    except Exception:
+        return {}
 
 
 class _ServiceWorker:
@@ -416,7 +444,6 @@ class _ServiceWorker:
         self._before: Dict[str, float] = {}
 
     def start(self) -> None:
-        from repro.sweeps.orchestrator import _service_engine_stats
         self._before = _service_engine_stats(self.client)
 
     def execute(self, tasks: Sequence[_Task]
@@ -425,13 +452,13 @@ class _ServiceWorker:
                                  counters=True)
         described = body.get("points", [])
         if len(described) != len(tasks):
-            raise FanoutError(
+            raise SweepError(
                 f"worker {self.name}: service returned {len(described)} "
                 f"results for a {len(tasks)}-point batch")
         out = []
         for task, desc in zip(tasks, described):
             if desc.get("key") != task.key:
-                raise FanoutError(
+                raise SweepError(
                     f"worker {self.name} disagrees on the content address "
                     f"of point {task.point!r} (ours {task.key[:12]}..., "
                     f"theirs {str(desc.get('key'))[:12]}...) — that backend "
@@ -442,7 +469,6 @@ class _ServiceWorker:
         return out
 
     def finish(self, stats: WorkerStats) -> None:
-        from repro.sweeps.orchestrator import _service_engine_stats
         after = _service_engine_stats(self.client)
         if self._before and after:
             # Best-effort: exact when this worker is the backend's only
@@ -469,7 +495,7 @@ def _worker_loop(worker: Any, queue: _FanoutQueue, writer: _OrderedWriter,
                 stats.stolen += 1
             try:
                 completions = worker.execute(tasks)
-            except FanoutError as exc:
+            except SweepError as exc:
                 queue.abort(exc)
                 return
             except Exception as exc:
@@ -500,14 +526,17 @@ def _worker_loop(worker: Any, queue: _FanoutQueue, writer: _OrderedWriter,
 # driver
 # ---------------------------------------------------------------------------
 
-def _build_workers(workers: Any, engine_template: Any,
+def _build_workers(workers: Any, engine: Optional[ExecutionEngine],
                    engine_factory: Optional[Callable[[], ExecutionEngine]],
                    timeout: float) -> List[Any]:
+    if workers is None:
+        borrowed = engine if engine is not None else get_engine()
+        return [_LocalWorker("local:0", lambda: borrowed, owned=False)]
     if isinstance(workers, int):
         if workers < 1:
-            raise FanoutError("workers must be >= 1")
+            raise SweepError("workers must be >= 1")
         if engine_factory is None:
-            options = getattr(engine_template, "options", None)
+            options = getattr(engine, "options", None)
 
             def engine_factory() -> ExecutionEngine:
                 return ExecutionEngine(options=options, max_workers=1,
@@ -515,6 +544,8 @@ def _build_workers(workers: Any, engine_template: Any,
 
         return [_LocalWorker(f"local:{i}", engine_factory)
                 for i in range(workers)]
+    if engine is not None:
+        raise SweepError("pass engine= or service workers=, not both")
     built: List[Any] = []
     for i, spec in enumerate(workers):
         if isinstance(spec, str):
@@ -528,7 +559,7 @@ def _build_workers(workers: Any, engine_template: Any,
                f"{getattr(client, 'port', i)}"
         built.append(_ServiceWorker(name, client))
     if not built:
-        raise FanoutError("workers must name at least one backend")
+        raise SweepError("workers must name at least one backend")
     return built
 
 
@@ -540,19 +571,21 @@ def run_fanout(expansion: Any,
                progress: Optional[Callable[..., None]],
                done: int, total: int,
                workers: Any,
-               window: int = 8,
-               engine_template: Any = None,
+               window: int,
+               engine: Optional[ExecutionEngine] = None,
                engine_factory: Optional[Callable[[], ExecutionEngine]] = None,
-               timeout: float = 180.0) -> int:
+               timeout: float = 180.0) -> None:
     """Execute ``pending`` across the worker pool; see module docstring.
 
-    Returns the new ``done`` count.  Mutates ``accounting`` with the
-    fan-out's mode, per-worker stats, retry/steal counters, and the
-    names of permanently failed points (which also leave the outcome
+    ``workers`` is ``None`` (``engine``, or the process-wide engine, as
+    one borrowed worker), an int N (N fresh local engines), or a
+    sequence of service endpoints.  Mutates ``accounting`` with the
+    pool's mode, per-worker stats, retry/steal counters, and the names
+    of permanently failed points (which also leave the outcome
     ``complete=False`` — they are *reported*, not fatal).
     """
-    pool = _build_workers(workers, engine_template, engine_factory, timeout)
-    accounting.mode = f"fanout-{pool[0].kind}[{len(pool)}]"
+    pool = _build_workers(workers, engine, engine_factory, timeout)
+    accounting.mode = f"{pool[0].kind}[{len(pool)}]"
     tasks = [
         _Task(seq=seq, index=index, request=request, key=key,
               point=expansion.points[index])
@@ -566,18 +599,22 @@ def run_fanout(expansion: Any,
         threading.Thread(target=_worker_loop,
                          args=(worker, queue, writer, stats, window),
                          name=f"sweep-{worker.name}")
-        for worker, stats in zip(pool, all_stats)
+        for worker, stats in zip(pool[1:], all_stats[1:])
     ]
     for thread in threads:
         thread.start()
+    # The caller's thread is worker 0: a 1-worker pool spawns no thread,
+    # and an interrupt there aborts the whole pool instead of leaving it
+    # running behind the caller's back.
+    _worker_loop(pool[0], queue, writer, all_stats[0], window)
     for thread in threads:
         thread.join()
 
     retried, stolen, failures, abort = queue.outcome()
     if abort is not None:
-        if isinstance(abort, (FanoutError, ReproError)):
+        if isinstance(abort, ReproError) or not isinstance(abort, Exception):
             raise abort
-        raise FanoutError(f"fan-out worker crashed: {abort}") from abort
+        raise SweepError(f"fan-out worker crashed: {abort}") from abort
     accounting.retried = retried
     accounting.stolen = stolen
     accounting.failed = len(failures)
@@ -590,7 +627,6 @@ def run_fanout(expansion: Any,
     accounting.executed = sum(stats.executed for stats in all_stats)
     accounting.memo_hits = sum(stats.memo_hits for stats in all_stats)
     accounting.disk_hits = sum(stats.disk_hits for stats in all_stats)
-    return writer.done_count()
 
 
 def _workload_name(point: Dict[str, Any]) -> str:

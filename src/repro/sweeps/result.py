@@ -25,10 +25,9 @@ __all__ = ["SweepResult", "WorkerStats"]
 class WorkerStats:
     """One fan-out worker's share of a sweep (see ``repro.sweeps.fanout``).
 
-    ``executed`` is backend-reported: exact for local pool workers (each
-    owns its engine), best-effort for service workers (the service's
-    ``/metrics`` aggregates across all its clients, so service workers
-    report their completion counts instead).
+    ``executed`` is backend-reported: exact for local workers (the
+    engine's stats delta over the sweep), best-effort for service workers
+    (the service's ``/metrics`` aggregates across all its clients).
     """
 
     worker: str                 # "local:0" / "service:host:port"

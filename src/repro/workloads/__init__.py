@@ -11,7 +11,7 @@ and store-to-load aliasing distance.  See DESIGN.md for the substitution
 rationale.
 """
 
-from repro.workloads.base import SyntheticWorkload, WorkloadSpec
+from repro.workloads.base import SyntheticWorkload, WorkloadSpec, workload_identity
 from repro.workloads.suite import (
     SUITE,
     INT_WORKLOADS,
@@ -30,4 +30,5 @@ __all__ = [
     "get_workload",
     "group_of",
     "suite_subset",
+    "workload_identity",
 ]

@@ -19,8 +19,9 @@ The generator models:
   branches with stable PCs so the combined predictor behaves realistically.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import json
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.isa.instruction import MicroOp
@@ -206,6 +207,22 @@ class SyntheticWorkload:
 
     def __repr__(self) -> str:
         return f"<SyntheticWorkload {self.spec.name} ({self.spec.group})>"
+
+
+def workload_identity(
+        workload: Union[str, WorkloadSpec, SyntheticWorkload]) -> str:
+    """The one identity of a workload: its suite name, or the canonical
+    JSON of every spec field.
+
+    Trace reuse in :func:`repro.sim.runner.run_many` and the result
+    cache key both use it, so two specs that share a display name but
+    differ in any parameter never share a trace or a cached result.
+    """
+    if isinstance(workload, str):
+        return workload
+    if isinstance(workload, SyntheticWorkload):
+        workload = workload.spec
+    return json.dumps(asdict(workload), sort_keys=True, separators=(",", ":"))
 
 
 class _Generator:

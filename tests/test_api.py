@@ -104,6 +104,15 @@ class TestSweep:
         assert sorted(grid) == ["conventional", "dmdc"]
         assert engine.stats.executed == 2
 
+    def test_sweep_refuses_two_workloads_sharing_a_name(self):
+        base = WorkloadSpec(name="mywl")
+        hot = WorkloadSpec(name="mywl", load_fraction=0.35,
+                           store_fraction=0.15, working_set_kb=2048)
+        engine = ExecutionEngine(max_workers=1)
+        with use_engine(engine), pytest.raises(ConfigError, match="mywl"):
+            api.sweep([base, hot], schemes=("dmdc",), instructions=BUDGET)
+        assert engine.stats.requested == 0  # refused before simulating
+
 
 class TestCompare:
     def test_report_fields_and_table(self):
@@ -162,13 +171,6 @@ class TestFacadeSurface:
             pc += 4
         result = adv.simulate_trace(trace, scheme="dmdc")
         assert result.committed == 32
-
-    def test_moved_names_warn_but_resolve(self):
-        from repro.api import advanced
-        with pytest.warns(DeprecationWarning, match="repro.api.advanced"):
-            assert api.RunRequest is advanced.RunRequest
-        with pytest.warns(DeprecationWarning):
-            assert api.simulate_trace is advanced.simulate_trace
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -13,7 +13,7 @@ from repro.exec.engine import ExecutionEngine
 from repro.exec.request import RunRequest
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.runner import run_many, run_workload
-from repro.workloads import get_workload
+from repro.workloads import WorkloadSpec, get_workload
 
 BUDGET = 1_200
 
@@ -57,6 +57,18 @@ def test_seeds_do_not_leak_between_elements():
     first, middle, again = run_many(requests)
     assert first.to_dict() == again.to_dict()
     assert first.to_dict() != middle.to_dict()
+
+
+def test_same_named_specs_get_their_own_traces():
+    """Trace reuse follows the full workload identity, not the display
+    name: the second of two same-named but different specs must run on
+    its own trace, exactly as it does alone."""
+    dmdc = CONFIG2.with_scheme(SchemeConfig.from_label("dmdc"))
+    base = RunRequest(dmdc, WorkloadSpec(name="mywl"), 3_000)
+    hot = RunRequest(dmdc, WorkloadSpec(name="mywl", load_fraction=0.35,
+                                        store_fraction=0.15,
+                                        working_set_kb=2048), 3_000)
+    assert run_many([base, hot])[1].to_dict() == run_many([hot])[0].to_dict()
 
 
 def test_budget_none_uses_environment_default(monkeypatch):

@@ -42,7 +42,7 @@ class TestRunSweepLocal:
         assert outcome.complete
         assert len(outcome.entries) == 6  # 4 candidates + 2 baselines
         assert [e["key"] for e in outcome.entries] == outcome.keys
-        assert acct.mode == "local"
+        assert acct.mode == "local[1]"
         assert acct.total_points == 6
         assert acct.baseline_points == 2
         assert acct.submitted == acct.executed == 6
@@ -60,6 +60,38 @@ class TestRunSweepLocal:
         assert [done for done, _, _ in seen] == list(range(1, 7))
         assert all(total == 6 for _, total, _ in seen)
         assert all(source in ("run", "memo", "cache") for _, _, source in seen)
+
+    def test_borrowed_engine_survives_the_sweep(self):
+        previous_calls = []
+
+        def previous(*args):
+            previous_calls.append(args)
+
+        engine = ExecutionEngine(max_workers=1, progress=previous)
+        expansion = small_grid().expand()
+        engine.run(expansion.requests[:1])  # one point the memo will serve
+        closed = []
+        engine.close = lambda: closed.append(True)
+        before = (engine.stats.executed, engine.stats.memo_hits,
+                  engine.stats.disk_hits)
+        del previous_calls[:]
+        sources = []
+        outcome = run_sweep(expansion, engine=engine,
+                            progress=lambda done, total, point, source:
+                            sources.append(source))
+        assert outcome.complete
+        assert closed == []  # the caller's engine is left open
+        assert engine.progress is previous
+        assert len(previous_calls) == 6  # chained while the sweep ran
+        acct = outcome.accounting
+        assert (acct.executed, acct.memo_hits, acct.disk_hits) == (
+            engine.stats.executed - before[0],
+            engine.stats.memo_hits - before[1],
+            engine.stats.disk_hits - before[2])
+        assert (acct.executed, acct.memo_hits) == (5, 1)
+        assert sources.count("memo") == 1
+        assert all(source in ("run", "memo", "cache") for source in sources)
+        assert acct.workers[0]["executed"] == acct.executed
 
     def test_works_without_a_ledger(self):
         engine = ExecutionEngine(max_workers=1)
@@ -79,9 +111,9 @@ class TestRunSweepLocal:
     def test_backend_arguments_are_validated(self):
         with pytest.raises(SweepError, match="not both"):
             run_sweep(small_grid(), engine=ExecutionEngine(max_workers=1),
-                      client=object())
-        with pytest.raises(SweepError, match="chunk"):
-            run_sweep(small_grid(), chunk=0,
+                      workers=[object()])
+        with pytest.raises(SweepError, match="window"):
+            run_sweep(small_grid(), window=0,
                       engine=ExecutionEngine(max_workers=1))
 
 

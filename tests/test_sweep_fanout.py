@@ -241,13 +241,13 @@ class TestSaturatedSweep:
         client = ServiceClient(port=tiny_queue_service.server_address[1],
                                timeout=60.0, retry=fast_policy(sleeps))
         grid = small_grid("saturated")
-        # chunk=6 > the 1-slot queue: every full chunk 429s, so only
-        # orchestrator-side splitting can make progress.
+        # window=6 > the 1-slot queue: every full batch 429s, so only
+        # splitting the refused batch can make progress.
         remote_path = tmp_path / "remote.jsonl"
-        outcome = run_sweep(grid, client=client, chunk=6,
+        outcome = run_sweep(grid, workers=[client], window=6,
                             ledger=str(remote_path))
         assert outcome.complete
-        assert outcome.accounting.retried >= 2  # at least two splits
+        assert outcome.accounting.retried >= 2  # the refused batch split
 
         local_path = tmp_path / "local.jsonl"
         local = run_sweep(small_grid("saturated"), engine=serial_engine(),
@@ -272,7 +272,7 @@ class TestLocalFanout:
                            window=1)
         assert single.complete and double.complete
         assert read_bytes(one) == read_bytes(two)
-        assert double.accounting.mode == "fanout-local[2]"
+        assert double.accounting.mode == "local[2]"
 
         workers = double.accounting.workers
         assert len(workers) == 2
@@ -328,11 +328,11 @@ class TestLocalFanout:
 
     def test_worker_count_validation(self):
         with pytest.raises(SweepError, match="not both"):
-            run_sweep(small_grid(), client=object(), workers=2)
-        from repro.sweeps import FanoutError
-        with pytest.raises(FanoutError, match=">= 1"):
+            run_sweep(small_grid(), engine=serial_engine(),
+                      workers=[object()])
+        with pytest.raises(SweepError, match=">= 1"):
             run_sweep(small_grid(), workers=0)
-        with pytest.raises(FanoutError, match="at least one"):
+        with pytest.raises(SweepError, match="at least one"):
             run_sweep(small_grid(), workers=[])
 
 
@@ -441,7 +441,7 @@ class TestAccountingSurface:
         outcome = run_sweep(small_grid(), workers=2,
                             engine_factory=serial_engine)
         payload = outcome.accounting.as_dict()
-        assert payload["mode"] == "fanout-local[2]"
+        assert payload["mode"] == "local[2]"
         assert len(payload["workers"]) == 2
         for stats in payload["workers"]:
             assert {"worker", "claimed", "completed", "executed",

@@ -56,10 +56,11 @@ class TestServiceBackend:
 
         local = run_sweep(small_grid(), engine=ExecutionEngine(max_workers=1),
                           ledger=local_path)
-        remote = run_sweep(small_grid(), client=service, ledger=service_path)
+        remote = run_sweep(small_grid(), workers=[service],
+                           ledger=service_path)
 
         assert local.complete and remote.complete
-        assert remote.accounting.mode == "service"
+        assert remote.accounting.mode == "service[1]"
         assert open(local_path, "rb").read() == open(service_path, "rb").read()
         # Same artifact, therefore the same report.
         assert remote.report().to_dict() == local.report().to_dict()
@@ -71,20 +72,20 @@ class TestServiceBackend:
             axes={"scheme": ["dmdc"], "workload": ["parser"]},
             base={"instructions": BUDGET, "seed": 2},
         )
-        outcome = run_sweep(grid, client=service)
+        outcome = run_sweep(grid, workers=[service])
         assert outcome.complete
         assert outcome.accounting.submitted == 1
         # The shard engines report real execution counts over the wire.
         assert outcome.accounting.executed == 1
 
     def test_chunking_spans_service_requests(self, service):
-        outcome = run_sweep(small_grid(), client=service, chunk=2)
+        outcome = run_sweep(small_grid(), workers=[service], window=2)
         assert outcome.complete
         assert len(outcome.entries) == 4
 
     def test_progress_labels_service_points(self, service):
         sources = []
-        run_sweep(small_grid(), client=service,
+        run_sweep(small_grid(), workers=[service],
                   progress=lambda done, total, point, source:
                   sources.append(source))
         assert sources == ["service"] * 4
@@ -106,7 +107,7 @@ class _WrongKeyClient:
 class TestKeyCrossCheck:
     def test_simulator_mismatch_is_refused(self):
         with pytest.raises(SweepError, match="different simulator"):
-            run_sweep(small_grid(), client=_WrongKeyClient())
+            run_sweep(small_grid(), workers=[_WrongKeyClient()])
 
     def test_short_response_is_refused(self):
         class Short(_WrongKeyClient):
@@ -114,4 +115,4 @@ class TestKeyCrossCheck:
                 return {"points": [], "count": 0}
 
         with pytest.raises(SweepError, match="0 results"):
-            run_sweep(small_grid(), client=Short())
+            run_sweep(small_grid(), workers=[Short()])
