@@ -22,8 +22,8 @@ REPRO005    no growable-collection allocation in hot-path functions
             displays, lambdas)
 REPRO006    no post-construction mutation of ``NamedTuple`` / frozen
             dataclass results
-REPRO007    scheme classes must conform to the scheme protocol
-            (hook names and arities from ``PROTOCOL_HOOKS``)
+REPRO007    scheme and hook-set classes must conform to the slot hook
+            protocol (hook names and arities from ``PROTOCOL_HOOKS``)
 ==========  ==========================================================
 """
 
@@ -43,37 +43,16 @@ _ZONE_RE = re.compile(r"repro/(sim|lsq|core)/")
 #: cycle-loop fast-path work banned string-keyed counters and growable
 #: allocations.  Keyed by path suffix -> set of qualified names.
 HOT_FUNCTIONS: Dict[str, Set[str]] = {
-    "repro/sim/processor.py": {
-        "Processor.step",
-        "Processor._maybe_fast_forward",
-        "Processor._dispatch_stall_slot",
-        "Processor._schedule_completion",
-        "Processor._schedule_retry",
-        "Processor._stage_commit",
-        "Processor._retire",
-        "Processor._stage_complete",
-        "Processor._wake_consumers",
-        "Processor._stage_issue",
-        "Processor._free_iq_entry",
-        "Processor._issue_alu",
-        "Processor._issue_store",
-        "Processor._ground_truth_store_resolve",
-        "Processor._try_issue_load",
-        "Processor._stage_dispatch",
-        "Processor._stage_fetch",
-    },
     "repro/lsq/queues.py": {
-        "StoreQueue.search_for_forwarding",
-        "LoadQueue.search_younger_issued",
         "sq_forward_search_soa",
-        "sq_has_unresolved_soa",
         "lq_violation_search_soa",
     },
-    # The batched SoA kernel: its fused cycle loop and squash path are
-    # the hottest code in the repository.  Construction (``__init__``,
-    # ``TraceSoA``) is setup and may allocate freely.
+    # The cycle kernel: its fused cycle loop, ground-truth check and
+    # squash path are the hottest code in the repository.  Construction
+    # (``__init__``, ``TraceSoA``) is setup and may allocate freely.
     "repro/sim/soa.py": {
         "SoaKernel.run",
+        "SoaKernel._ground_truth_store_resolve",
         "SoaKernel._squash_from",
         "SoaKernel._free_iq_if_held",
     },
@@ -348,7 +327,7 @@ class NoHotPathAllocationRule(Rule):
 class NoFrozenMutationRule(Rule):
     """No post-construction mutation of NamedTuple / frozen dataclass results.
 
-    Result records (:class:`repro.lsq.queues.ForwardResult` and friends)
+    Result records (:class:`repro.obs.events.ObsEvent` and friends)
     are immutable by contract; CPython NamedTuples raise on attribute
     assignment only at runtime, and a mutation that "works" (e.g. via a
     shadowing attribute) silently forks the record from its consumers.
@@ -433,19 +412,20 @@ class NoFrozenMutationRule(Rule):
 
 
 class SchemeProtocolRule(Rule):
-    """Scheme classes must conform to the scheme protocol.
+    """Scheme and hook-set classes must conform to the slot hook protocol.
 
-    A dependence-checking scheme interacts with the pipeline exclusively
-    through the hooks in
-    :data:`repro.core.schemes.base.PROTOCOL_HOOKS`.  A subclass defining a
-    hook-shaped method the pipeline does not know (``on_comit``, an extra
-    required parameter) is silently never called — the scheme "works" but
-    checks nothing.  Applies to classes in ``core/schemes/`` whose bases
-    look like scheme classes.
+    A dependence-checking scheme interacts with the cycle kernel
+    exclusively through its hook set's methods named in
+    :data:`repro.core.schemes.base.PROTOCOL_HOOKS`.  A class defining a
+    hook-shaped method the kernel does not know (``on_comit_load``, an
+    extra required parameter) is silently never called — the scheme
+    "works" but checks nothing.  Applies to classes in ``core/schemes/``
+    whose bases look like scheme classes (``...Scheme``) or hook sets
+    (``...Hooks``).
     """
 
     rule_id = "REPRO007"
-    summary = "scheme classes must implement the scheme protocol exactly"
+    summary = "scheme and hook-set classes must implement the hook protocol exactly"
 
     def check(self, file: SourceFile, context: dict) -> Iterator[LintViolation]:
         if "repro/core/schemes/" not in file.path:
@@ -454,10 +434,10 @@ class SchemeProtocolRule(Rule):
             if not isinstance(node, ast.ClassDef):
                 continue
             base_names = [b.id for b in node.bases if isinstance(b, ast.Name)]
-            is_scheme = node.name == "CheckScheme" or any(
-                name == "CheckScheme" or name.endswith("Scheme")
+            conforms = node.name in ("CheckScheme", "SoaHooks") or any(
+                name.endswith("Scheme") or name.endswith("Hooks")
                 for name in base_names)
-            if not is_scheme:
+            if not conforms:
                 continue
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
@@ -467,7 +447,7 @@ class SchemeProtocolRule(Rule):
                     yield self.violation(
                         file, item,
                         f"{node.name}.{name} looks like a pipeline hook but "
-                        f"is not in the scheme protocol (typo?)")
+                        f"is not in the hook protocol (typo?)")
                     continue
                 if name not in PROTOCOL_HOOKS:
                     continue
@@ -479,7 +459,7 @@ class SchemeProtocolRule(Rule):
                     yield self.violation(
                         file, item,
                         f"{node.name}.{name} takes {positional} args "
-                        f"({required} required); the pipeline calls it "
+                        f"({required} required); the kernel calls it "
                         f"with {expected}")
 
 

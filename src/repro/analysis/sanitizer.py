@@ -1,10 +1,10 @@
 """Shadow-oracle memory-ordering sanitizer.
 
-:class:`MemoryOrderSanitizer` wraps any dependence-checking scheme behind
-the same hook protocol the pipeline already speaks
-(:class:`repro.core.schemes.base.CheckScheme`), so attaching it changes
-*nothing* about the simulated machine: every hook delegates to the wrapped
-scheme and the simulation result stays bit-identical (pinned by
+:class:`MemoryOrderSanitizer` wraps any dependence-checking scheme, and
+its hook set wraps the scheme's own (the slot-index protocol of
+:class:`repro.core.schemes.base.SoaHooks`), so attaching it changes
+*nothing* about the simulated machine: every hook delegates to the
+scheme's hook and the simulation result stays bit-identical (pinned by
 ``tests/test_sanitizer_matrix.py``).  Around each delegation it maintains
 an independent shadow associative LQ/SQ (:mod:`repro.analysis.shadow`) and
 cross-checks the scheme's decisions against that oracle:
@@ -12,9 +12,10 @@ cross-checks the scheme's decisions against that oracle:
 * at **store resolution** it flags every load that truly issued
   prematurely past the store, and classifies any execution-time replay the
   scheme ordered as true or false;
-* at **load commit** it verifies that a flagged load does not retire
-  un-replayed (a *missed violation* — the unsoundness DMDC's age filter
-  must never exhibit) and classifies commit-time replays;
+* at **load commit** — the sanitizer sees every commit — it verifies that
+  a flagged load does not retire un-replayed (a *missed violation* — the
+  unsoundness DMDC's age filter must never exhibit) and classifies
+  commit-time replays;
 * invariant probes (:mod:`repro.analysis.probes`) check YLA soundness /
   monotonicity / rollback exactness, ``end_check`` window consistency, and
   ROB/LSQ age ordering on every event.
@@ -28,8 +29,7 @@ from typing import List, Optional
 
 from repro.analysis.probes import AgeOrderProbe, ProbeSet, WindowProbe, YlaProbe
 from repro.analysis.shadow import ShadowLSQ
-from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CommitDecision
+from repro.core.schemes.base import SoaHooks
 from repro.errors import SanitizerError
 from repro.sim.config import SchemeConfig, scheme_matrix
 
@@ -105,7 +105,7 @@ class SanitizerReport:
 
 
 class MemoryOrderSanitizer:
-    """Scheme wrapper: delegate every hook, cross-check every decision."""
+    """Scheme wrapper whose hook set cross-checks every decision."""
 
     def __init__(self, inner, strict: bool = False):
         self.inner = inner
@@ -120,111 +120,10 @@ class MemoryOrderSanitizer:
         window = WindowProbe(inner) if hasattr(inner, "end_check") else None
         self.probes = ProbeSet(AgeOrderProbe(), ylas, window)
 
-    # -- defect recording -------------------------------------------------
-    def _missed(self, message: str) -> None:
-        self.report.missed_violations += 1
-        if len(self.report.missed_details) < MAX_DETAILS:
-            self.report.missed_details.append(message)
-        if self.strict:
-            raise SanitizerError(f"[{self.inner.name}] {message}")
+    def soa_hooks(self, kernel) -> "_SanitizedHooks":
+        return _SanitizedHooks(self, self.inner.soa_hooks(kernel), kernel)
 
-    def _probe_failed(self, message: Optional[str]) -> None:
-        if message is None:
-            return
-        self.report.probe_failure_count += 1
-        if len(self.report.probe_failures) < MAX_DETAILS:
-            self.report.probe_failures.append(message)
-        if self.strict:
-            raise SanitizerError(f"[{self.inner.name}] {message}")
-
-    # -- execution-time hooks ---------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.report.events_checked += 1
-        self.shadow.load_issued(load, cycle)
-        victim = self.inner.on_load_issue(load, cycle)
-        for probe in self.probes.ylas:
-            self._probe_failed(probe.after_load_issue(load.addr, load.seq))
-        if victim is not None:
-            # Load-load coherence ordering replay; the pipeline squashes
-            # from the victim, which on_squash mirrors into the shadow.
-            self.report.coherence_replays += 1
-        return victim
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        self.inner.on_wrongpath_load(age, addr)
-        # Wrong-path loads only push YLA registers forward (conservative);
-        # monotonicity must still hold.
-        for probe in self.probes.ylas:
-            self._probe_failed(probe.after_load_issue(addr, age))
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.report.events_checked += 1
-        flagged = self.shadow.store_resolved(store, cycle)
-        self.report.oracle_violations += len(flagged)
-        victim = self.inner.on_store_resolve(store, cycle)
-        if victim is not None:
-            # Execution-time replay: the pipeline squashes from the victim,
-            # covering every younger in-flight load.
-            if self.shadow.pending_violation_at_or_after(victim.seq):
-                self.report.true_replays += 1
-            else:
-                self.report.false_replays += 1
-        return victim
-
-    # -- commit-time hook --------------------------------------------------
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        self.report.events_checked += 1
-        self._probe_failed(self.probes.age.on_commit(instr))
-        window = self.probes.window
-        if window is not None:
-            window.before_commit()
-        decision = self.inner.on_commit(instr, cycle)
-        replayed = decision == CommitDecision.REPLAY
-        if window is not None:
-            self._probe_failed(window.after_commit(instr, replayed))
-        if instr.is_load:
-            rec = self.shadow.loads.get(instr.seq)
-            shadow_violated = rec is not None and rec.violated_by >= 0
-            builtin_violated = instr.true_violation_store >= 0
-            if shadow_violated != builtin_violated:
-                self.report.oracle_divergence += 1
-            if replayed:
-                if shadow_violated:
-                    self.report.true_replays += 1
-                else:
-                    self.report.false_replays += 1
-                # The squash removes the load from the shadow via on_squash.
-            else:
-                if shadow_violated:
-                    self._missed(
-                        f"load seq={instr.seq} addr={instr.addr:#x} retired "
-                        f"despite premature issue past store "
-                        f"seq={rec.violated_by} under {self.inner.name}"
-                    )
-                self.shadow.load_committed(instr.seq)
-        elif instr.is_store and not replayed:
-            self.shadow.store_committed(instr.seq)
-        return decision
-
-    # -- control-flow repair -----------------------------------------------
-    def on_recovery(self, last_kept_seq: int) -> None:
-        self.inner.on_recovery(last_kept_seq)
-        for probe in self.probes.ylas:
-            self._probe_failed(probe.after_rollback(last_kept_seq))
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.inner.on_squash(last_kept_seq, squashed_loads)
-        self.shadow.squash_younger(last_kept_seq)
-        for probe in self.probes.ylas:
-            self._probe_failed(probe.after_rollback(last_kept_seq))
-
-    # -- coherence ----------------------------------------------------------
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        self.inner.on_invalidation(line_addr, line_bytes, cycle,
-                                   oldest_inflight_seq)
-
-    # -- pass-through observability -----------------------------------------
+    # -- pass-through scheme surface -----------------------------------------
     @property
     def checking_active(self) -> bool:
         return self.inner.checking_active
@@ -243,6 +142,161 @@ class MemoryOrderSanitizer:
         if attr == "inner":
             raise AttributeError(attr)
         return getattr(self.inner, attr)
+
+    # -- defect recording -------------------------------------------------
+    def _missed(self, message: str) -> None:
+        self.report.missed_violations += 1
+        if len(self.report.missed_details) < MAX_DETAILS:
+            self.report.missed_details.append(message)
+        if self.strict:
+            raise SanitizerError(f"[{self.inner.name}] {message}")
+
+    def _probe_failed(self, message: Optional[str]) -> None:
+        if message is None:
+            return
+        self.report.probe_failure_count += 1
+        if len(self.report.probe_failures) < MAX_DETAILS:
+            self.report.probe_failures.append(message)
+        if self.strict:
+            raise SanitizerError(f"[{self.inner.name}] {message}")
+
+    def _yla_probes_after_issue(self, addr: int, age: int) -> None:
+        for probe in self.probes.ylas:
+            self._probe_failed(probe.after_load_issue(addr, age))
+
+    def _yla_probes_after_rollback(self, last_kept_seq: int) -> None:
+        for probe in self.probes.ylas:
+            self._probe_failed(probe.after_rollback(last_kept_seq))
+
+
+class _SanitizedHooks(SoaHooks):
+    """A scheme's hook set with the sanitizer interposed on every event.
+
+    Takes every event the kernel offers (including every commit) and
+    forwards each to the inner hook set exactly as the kernel would have:
+    the same flags gate the same calls.
+    """
+
+    has_load_issue = True
+    has_store_resolve = True
+    commit_mode = 3
+
+    def __init__(self, sanitizer: MemoryOrderSanitizer, inner: SoaHooks, kernel):
+        super().__init__(sanitizer, kernel)
+        self.san = sanitizer
+        self.inner = inner
+        self.wants_squashed_loads = inner.wants_squashed_loads
+
+    # -- execution-time hooks ---------------------------------------------
+    def on_load_issue(self, slot: int, cycle: int) -> int:
+        san = self.san
+        k = self.k
+        san.report.events_checked += 1
+        san.shadow.load_issued(k.view(slot), cycle)
+        inner = self.inner
+        victim = inner.on_load_issue(slot, cycle) if inner.has_load_issue else -1
+        san._yla_probes_after_issue(k.addr[slot], k.seq[slot])
+        if victim >= 0:
+            # Load-load coherence ordering replay; the kernel squashes
+            # from the victim, which on_squash mirrors into the shadow.
+            san.report.coherence_replays += 1
+        return victim
+
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        self.inner.on_wrongpath_load(age, addr)
+        # Wrong-path loads only push YLA registers forward (conservative);
+        # monotonicity must still hold.
+        self.san._yla_probes_after_issue(addr, age)
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
+        san = self.san
+        k = self.k
+        san.report.events_checked += 1
+        flagged = san.shadow.store_resolved(k.view(slot), cycle)
+        san.report.oracle_violations += len(flagged)
+        inner = self.inner
+        victim = inner.on_store_resolve(slot, cycle) if inner.has_store_resolve else -1
+        if victim >= 0:
+            # Execution-time replay: the kernel squashes from the victim,
+            # covering every younger in-flight load.
+            if san.shadow.pending_violation_at_or_after(k.seq[victim]):
+                san.report.true_replays += 1
+            else:
+                san.report.false_replays += 1
+        return victim
+
+    # -- commit-time hook --------------------------------------------------
+    def _inner_commit(self, slot: int, cycle: int) -> bool:
+        """The inner hook set's commit decision, dispatched as the kernel
+        dispatches it by ``commit_mode``."""
+        inner = self.inner
+        k = self.k
+        mode = inner.commit_mode
+        if mode == 2:
+            if inner.scheme.checking_active or (k.isst[slot] and k.unsafe[slot]):
+                return inner.on_commit(slot, cycle)
+            return False
+        if mode == 1:
+            return bool(k.isld[slot]) and inner.on_commit_load(slot)
+        if mode == 3:
+            return inner.on_commit(slot, cycle)
+        return False
+
+    def on_commit(self, slot: int, cycle: int) -> bool:
+        san = self.san
+        k = self.k
+        instr = k.view(slot)
+        san.report.events_checked += 1
+        san._probe_failed(san.probes.age.on_commit(instr))
+        window = san.probes.window
+        if window is not None:
+            window.before_commit()
+        replayed = self._inner_commit(slot, cycle)
+        if window is not None:
+            san._probe_failed(window.after_commit(instr, replayed))
+        shadow = san.shadow
+        if instr.is_load:
+            rec = shadow.loads.get(instr.seq)
+            shadow_violated = rec is not None and rec.violated_by >= 0
+            builtin_violated = k.tvs[slot] >= 0
+            if shadow_violated != builtin_violated:
+                san.report.oracle_divergence += 1
+            if replayed:
+                if shadow_violated:
+                    san.report.true_replays += 1
+                else:
+                    san.report.false_replays += 1
+                # The squash removes the load from the shadow via on_squash.
+            else:
+                if shadow_violated:
+                    san._missed(
+                        f"load seq={instr.seq} addr={instr.addr:#x} retired "
+                        f"despite premature issue past store "
+                        f"seq={rec.violated_by} under {san.inner.name}"
+                    )
+                shadow.load_committed(instr.seq)
+        elif instr.is_store and not replayed:
+            shadow.store_committed(instr.seq)
+        return replayed
+
+    # -- control-flow repair -----------------------------------------------
+    def on_recovery(self, last_kept_seq: int) -> None:
+        self.inner.on_recovery(last_kept_seq)
+        self.san._yla_probes_after_rollback(last_kept_seq)
+
+    def on_squash(self, last_kept_seq: int, squashed_load_addrs: List[int]) -> None:
+        self.inner.on_squash(last_kept_seq, squashed_load_addrs)
+        self.san.shadow.squash_younger(last_kept_seq)
+        self.san._yla_probes_after_rollback(last_kept_seq)
+
+    # -- coherence ----------------------------------------------------------
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        self.inner.on_invalidation(line_addr, line_bytes, cycle,
+                                   oldest_inflight_seq)
+
+    def fold(self) -> None:
+        self.inner.fold()
 
 
 def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
@@ -273,8 +327,8 @@ def attach_sanitizer(processor, strict: bool = False) -> MemoryOrderSanitizer:
     (:meth:`repro.sim.processor.Processor.attach_hook`), which disables the
     event-horizon cycle skipper for the run — the same rule tracers follow.
     """
-    if processor.cycle != 0:
-        raise SanitizerError("attach the sanitizer before the first cycle")
+    if processor.kernel is not None:
+        raise SanitizerError("attach the sanitizer before the run starts")
     sanitizer = MemoryOrderSanitizer(processor.scheme, strict=strict)
     processor.scheme = sanitizer
     processor.attach_hook(sanitizer)

@@ -1,13 +1,16 @@
-"""Dynamic (in-flight) instruction state.
+"""Dynamic (in-flight) instruction state, as observers see it.
 
-A :class:`DynInstr` is one fetched instance of a trace micro-op.  The same
-micro-op can be in flight multiple times across replays; each instance gets
-a fresh, strictly increasing ``seq`` — the *age* that every mechanism in the
-paper compares (YLA registers, end-check register, squash points).
+The cycle kernel (:mod:`repro.sim.soa`) keeps every in-flight instruction
+as a *slot* in parallel arrays.  Observers — the pipeline tracer, the
+observability recorder, the sanitizer's shadow oracle — instead receive a
+:class:`DynInstr`: one fetched instance of a trace micro-op with the slot
+fields they read, built only when an observer is attached.  The same
+micro-op can be in flight multiple times across replays; each instance
+gets a fresh, strictly increasing ``seq`` — the *age* that every mechanism
+in the paper compares (YLA registers, end-check register, squash points).
 """
 
 import enum
-from typing import List, Optional
 
 from repro.isa.instruction import MicroOp
 
@@ -22,7 +25,7 @@ class InstrState(enum.IntEnum):
 
 
 class DynInstr:
-    """One in-flight instance of a micro-op, with full pipeline bookkeeping."""
+    """One in-flight instance of a micro-op (an observer's view of a slot)."""
 
     __slots__ = (
         "uop",
@@ -30,43 +33,19 @@ class DynInstr:
         "seq",
         "state",
         "fp_side",
-        # static facts copied out of the micro-op once at fetch; plain
-        # slots, because property dispatch is measurable on the hot paths
+        # static facts copied out of the micro-op once
         "is_load",
         "is_store",
         "is_branch",
         "addr",
         "size",
-        # dependence tracking
-        "pending_ops",
-        "pending_data",
-        "consumers",
         # timing
-        "fetch_cycle",
         "dispatch_cycle",
         "issue_cycle",
-        "complete_cycle",
         "resolve_cycle",
-        "commit_cycle",
         # memory behaviour
-        "speculative_issue",
-        "safe",
         "forward_store_seq",
-        "rejections",
         "true_violation_store",
-        "true_violation_pc",
-        "replay_generation",
-        "guard_bypass",
-        "hash_key",
-        "inv_marked",
-        # DMDC store state
-        "unsafe_store",
-        "window_end",
-        # branch state
-        "pred_snapshot",
-        "mispredicted",
-        # bookkeeping
-        "in_iq",
     )
 
     def __init__(self, uop: MicroOp, trace_idx: int, seq: int, fp_side: bool):
@@ -80,20 +59,9 @@ class DynInstr:
         self.is_branch = uop.is_branch
         self.addr = uop.mem_addr
         self.size = uop.mem_size
-        self.pending_ops = self.pending_data = self.rejections = 0
-        self.replay_generation = 0
-        self.consumers: List = []
-        self.fetch_cycle = self.dispatch_cycle = self.issue_cycle = -1
-        self.complete_cycle = self.resolve_cycle = self.commit_cycle = -1
-        self.forward_store_seq = -1
-        self.true_violation_store = self.true_violation_pc = -1
-        self.hash_key = self.window_end = -1
-        self.speculative_issue = self.safe = self.guard_bypass = False
-        self.inv_marked = self.unsafe_store = self.mispredicted = False
-        self.in_iq = False
-        self.pred_snapshot: Optional[tuple] = None
+        self.dispatch_cycle = self.issue_cycle = self.resolve_cycle = -1
+        self.forward_store_seq = self.true_violation_store = -1
 
-    # Convenience passthroughs -------------------------------------------
     @property
     def resolved(self) -> bool:
         """A memory op's address is resolved once it has issued through the AGU."""

@@ -1,6 +1,6 @@
 """Pluggable memory-dependence-checking schemes."""
 
-from repro.core.schemes.base import CheckScheme, CommitDecision
+from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.core.schemes.conventional import (
     ConventionalScheme,
     YlaFilteredScheme,
@@ -13,7 +13,7 @@ from repro.core.schemes.factory import build_scheme
 
 __all__ = [
     "CheckScheme",
-    "CommitDecision",
+    "SoaHooks",
     "ConventionalScheme",
     "YlaFilteredScheme",
     "BloomFilteredScheme",

@@ -1,9 +1,19 @@
-"""Interface between the pipeline and a dependence-checking scheme.
+"""Interface between the cycle kernel and a dependence-checking scheme.
 
-The pipeline owns the machinery every design shares (speculative load
-issue, SQ forwarding/rejection, squash, commit order); a scheme only
-decides *how premature loads are detected*.  The hooks mirror the
-micro-architectural events of the paper:
+The kernel (:mod:`repro.sim.soa`) owns the machinery every design shares
+(speculative load issue, SQ forwarding/rejection, squash, commit order);
+a scheme only decides *how premature loads are detected*.  A scheme is
+two objects:
+
+* a :class:`CheckScheme` subclass holding the scheme's configuration and
+  state (YLA registers, tables, window bookkeeping), its statistics, and
+  the end-of-run ``finalize``/``collect`` steps;
+* a :class:`SoaHooks` subclass — the scheme's one hook set — built per run
+  by :meth:`CheckScheme.soa_hooks`.  The kernel names in-flight
+  instructions by **slot index** into its parallel arrays, and the hooks
+  read those arrays (``k.seq[slot]``, ``k.addr[slot]``...) directly.
+
+The hooks mirror the micro-architectural events of the paper:
 
 =====================  ====================================================
 hook                   corresponds to
@@ -13,50 +23,41 @@ hook                   corresponds to
 ``on_store_resolve``   store address resolves: conventional LQ search, or
                        filtering, or DMDC safe/unsafe classification
 ``on_commit``          in-order retirement: DMDC marking, checking mode,
-                       window termination
+``on_commit_load``     window termination; value-based re-execution
 ``on_recovery``        branch misprediction recovery (YLA reset remedy)
 ``on_squash``          replay squash (same repair plus BF bookkeeping)
 ``on_invalidation``    external coherence invalidation
 =====================  ====================================================
 
-``on_store_resolve``/``on_load_issue`` may return a load to replay *now*
-(execution-time detection); ``on_commit`` may decide the committing load
-itself must replay (DMDC's commit-time detection).
+``on_store_resolve``/``on_load_issue`` may return a load slot to replay
+*now* (execution-time detection); the commit hooks may decide the
+committing instruction itself must replay (DMDC's commit-time detection).
 """
 
-import enum
-from typing import List, Optional
+from typing import List
 
-from repro.backend.dyninst import DynInstr
 from repro.stats.counters import CounterSet, Histogram
 
-#: The scheme protocol, by name -> number of arguments after ``self``.
+#: The slot hook protocol, by name -> number of arguments after ``self``.
 #: This is the single source of truth the ``repro check`` lint pass
-#: (rule REPRO007) validates scheme classes against: a subclass defining a
-#: hook-shaped method that is *not* listed here (e.g. ``on_comit``) would
-#: silently never be called by the pipeline.
+#: (rule REPRO007) validates hook and scheme classes against: a subclass
+#: defining a hook-shaped method that is *not* listed here (e.g.
+#: ``on_comit_load``) would silently never be called by the kernel.
 PROTOCOL_HOOKS = {
     "on_load_issue": 2,
     "on_wrongpath_load": 2,
     "on_store_resolve": 2,
+    "on_commit_load": 1,
     "on_commit": 2,
     "on_recovery": 1,
     "on_squash": 2,
     "on_invalidation": 4,
-    "finalize": 1,
-    "collect": 0,
+    "fold": 0,
 }
 
 
-class CommitDecision(enum.Enum):
-    """What ``on_commit`` wants the pipeline to do with a committing load."""
-
-    OK = "ok"
-    REPLAY = "replay"
-
-
 class CheckScheme:
-    """Base scheme: shared stats plumbing and no-op hooks."""
+    """Base scheme: shared stats plumbing; its hook set does nothing."""
 
     #: Whether the LQ must be a fully associative CAM (energy model input).
     uses_associative_lq = True
@@ -78,55 +79,15 @@ class CheckScheme:
         #: checking-window/table activity as typed events.
         self.obs = None
 
-    # -- execution-time hooks -------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        """A load issued.  May return a younger load to replay from
-        (conventional load-load coherence ordering only)."""
-        return None
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        """A wrong-path load issued (phantom; will be undone by recovery)."""
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        """A store's address resolved.  May return a premature load to
-        replay from (conventional execution-time detection)."""
-        return None
-
-    # -- commit-time hooks ------------------------------------------------
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        """An instruction is about to retire (in order)."""
-        return CommitDecision.OK
-
-    # -- control-flow repair ----------------------------------------------
-    def on_recovery(self, last_kept_seq: int) -> None:
-        """Branch misprediction recovery completed."""
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        """A replay squashed everything younger than ``last_kept_seq``."""
-
-    # -- coherence ---------------------------------------------------------
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        """An external invalidation for ``line_addr`` arrived."""
-
-    # -- observability ------------------------------------------------------
     #: True while a DMDC checking window is open (cycle accounting).  A
-    #: plain attribute, not a property: both cycle loops read it every
+    #: plain attribute, not a property: the cycle loop reads it every
     #: cycle, and descriptor dispatch is measurable there.  DMDC shadows
     #: it with an instance attribute it flips on activate/terminate.
     checking_active = False
 
-    # -- SoA kernel adapter ------------------------------------------------
-    def soa_hooks(self, kernel) -> Optional["SoaHooks"]:
-        """Slot-index adapter binding this scheme to a SoA kernel run.
-
-        Returns a fresh :class:`SoaHooks` for ``kernel``, or None when
-        this scheme (or this configuration of it) has no slot-array
-        transcription — the processor then steps the object path.  The
-        base scheme answers None so unknown subclasses stay correct by
-        default; see ``docs/performance.md``.
-        """
-        return None
+    def soa_hooks(self, kernel) -> "SoaHooks":
+        """This scheme's hook set, bound to one kernel run."""
+        return SoaHooks(self, kernel)
 
     def finalize(self, cycle: int) -> None:
         """End-of-run hook (close any open checking window for stats)."""
@@ -140,23 +101,21 @@ class CheckScheme:
 
 
 class SoaHooks:
-    """Scheme adapter for the SoA cycle kernel (:mod:`repro.sim.soa`).
+    """A scheme's hook set for one run of the cycle kernel.
 
-    The object-path hooks above receive :class:`DynInstr`; the kernel
-    instead hands adapters **slot indices** into its parallel arrays, and
-    the class-level flags below let it skip the call entirely for events a
-    scheme ignores.  Each adapter is a per-run transcription of its
-    scheme's hooks: it calls the same component methods (YLA, bloom
-    filter, checking table/queue, store sets) and bumps the same
-    ``scheme.stats`` names, so a run is bit-identical either way — only
-    pure queue-attribute tallies may be batched in locals and folded once
-    via :meth:`fold`.
+    ``k`` is the kernel (or any object with the same slot columns); every
+    hook receives slot indices into its parallel arrays, and the
+    class-level flags below let the kernel skip the call entirely for
+    events a scheme ignores.  Hooks call the scheme's components (YLA,
+    bloom filter, checking table/queue) and bump ``scheme.stats``.
 
     Commit dispatch is ``commit_mode``: 0 = the scheme never acts at
     commit (the kernel makes no call per retiring instruction); 1 = only
     loads matter (:meth:`on_commit_load`); 2 = windowed checking — the
     kernel calls :meth:`on_commit` whenever ``scheme.checking_active`` or
-    the committing instruction is a store flagged unsafe.
+    the committing instruction is a store flagged unsafe; 3 = every
+    retiring instruction goes to :meth:`on_commit` (observers such as the
+    sanitizer, which must see each commit).
     """
 
     has_load_issue = False
@@ -166,14 +125,19 @@ class SoaHooks:
     #: loads (bloom); collecting them costs a pass the others skip.
     wants_squashed_loads = False
 
-    def __init__(self, scheme: "CheckScheme", kernel) -> None:
+    def __init__(self, scheme: CheckScheme, kernel) -> None:
         self.scheme = scheme
         self.k = kernel
 
-    def on_load_issue(self, slot: int) -> None:
-        """A load issued (called only when ``has_load_issue``)."""
+    def on_load_issue(self, slot: int, cycle: int) -> int:
+        """A load issued (called only when ``has_load_issue``); return a
+        younger load slot to replay from, or -1."""
+        return -1
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        """A wrong-path load issued (phantom; will be undone by recovery)."""
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         """A store's address resolved; return a victim load slot or -1
         (called only when ``has_store_resolve``)."""
         return -1
@@ -183,21 +147,24 @@ class SoaHooks:
         return False
 
     def on_commit(self, slot: int, cycle: int) -> bool:
-        """Commit-time check for any instruction; True = replay the head
-        (``commit_mode`` 2)."""
+        """Commit-time check for an instruction; True = replay the head
+        (``commit_mode`` 2 and 3)."""
         return False
+
+    def on_recovery(self, last_kept_seq: int) -> None:
+        """Branch misprediction recovery completed."""
 
     def on_squash(self, last_kept_seq: int, squashed_load_addrs: List[int]) -> None:
         """A replay squashed everything younger than ``last_kept_seq``.
 
-        The default delegates to the scheme's object-path hook with no
-        load list — correct for every scheme that only uses the boundary
-        age (YLA/DMDC rollback, store-set repair); adapters that need the
-        squashed loads themselves override this and set
-        ``wants_squashed_loads``.
+        ``squashed_load_addrs`` lists the squashed *issued* loads'
+        addresses when ``wants_squashed_loads`` is set, else it is empty.
         """
-        self.scheme.on_squash(last_kept_seq, ())
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        """An external invalidation for ``line_addr`` arrived."""
 
     def fold(self) -> None:
-        """Flush locally batched tallies back onto scheme/queue objects
-        (called once, after the kernel's cycle loop finishes)."""
+        """Flush locally batched state back onto the scheme (called once,
+        after the kernel's cycle loop finishes)."""

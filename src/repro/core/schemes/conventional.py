@@ -10,14 +10,12 @@ younger (YLA) / no aliasing (BF) issued load exists.  A filtered search is
 counted separately — that count is the energy the filter saves.
 """
 
-from typing import List, Optional
+from typing import List
 
-from repro.backend.dyninst import DynInstr
 from repro.core.bloom import CountingBloomFilter
 from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.core.yla import YlaFile
-from repro.errors import SimulationError
-from repro.lsq.queues import LoadQueue, StoreQueue, lq_violation_search_soa
+from repro.lsq.queues import lq_violation_search_soa
 
 
 class ConventionalScheme(CheckScheme):
@@ -29,76 +27,9 @@ class ConventionalScheme(CheckScheme):
     def __init__(self, coherence: bool = False):
         super().__init__()
         self.coherence = coherence
-        self.lq: Optional[LoadQueue] = None
-        self.sq: Optional[StoreQueue] = None
-        self.line_bytes = 128
-
-    def attach(self, lq: LoadQueue, sq: StoreQueue, line_bytes: int) -> None:
-        """Bind the pipeline's queues; called once by the processor."""
-        self.lq = lq
-        self.sq = sq
-        self.line_bytes = line_bytes
-
-    # ------------------------------------------------------------------
-    def _should_search(self, store: DynInstr) -> bool:
-        """Filter hook; the baseline always searches."""
-        return True
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if self.lq is None:
-            raise SimulationError("scheme not attached to queues")
-        self.stats.bump("stores.resolved")
-        if not self._should_search(store):
-            # The queue attribute is the canonical count; the processor
-            # exports it as ``lq.searches_filtered`` when building the
-            # result (bumping scheme stats here as well double-counted it).
-            self.lq.searches_filtered += 1
-            if self.obs is not None:
-                self.obs.store_classified(store, True, cycle)
-            return None
-        if self.obs is not None:
-            self.obs.store_classified(store, False, cycle)
-        self.stats.bump("lq.searches")
-        victim = self.lq.search_younger_issued(store)
-        if victim is not None:
-            self.stats.bump("replay.execution_time")
-        return victim
-
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if not self.coherence:
-            return None
-        # Load-load ordering (Section 2): the issuing load searches the LQ
-        # for *younger* issued loads to the same line that saw an
-        # invalidation; replay from the oldest such load.
-        self.lq.inv_searches += 1
-        line = load.addr & ~(self.line_bytes - 1)
-        for other in self.lq.ring:
-            if (
-                other.seq > load.seq
-                and other.issue_cycle >= 0
-                and other.inv_marked
-                and (other.addr & ~(self.line_bytes - 1)) == line
-            ):
-                self.stats.bump("replay.coherence")
-                return other
-        return None
-
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        if not self.coherence:
-            return
-        # Every invalidation searches the whole LQ to mark matching loads.
-        self.lq.inv_searches += 1
-        for load in self.lq.ring:
-            if load.issue_cycle >= 0 and (load.addr & ~(line_bytes - 1)) == line_addr:
-                load.inv_marked = True
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            # Load-load ordering walks ``inv_marked`` object state the SoA
-            # slots don't carry; coherent configs stay on the object path.
-            return None
-        return _ConventionalSoaHooks(self, kernel)
+        return _ConventionalHooks(self, kernel)
 
 
 class YlaFilteredScheme(ConventionalScheme):
@@ -111,30 +42,8 @@ class YlaFilteredScheme(ConventionalScheme):
         super().__init__(coherence=coherence)
         self.yla = YlaFile(num_registers, granularity_bytes)
 
-    def _should_search(self, store: DynInstr) -> bool:
-        safe = self.yla.store_is_safe(store.addr, store.seq)
-        if safe:
-            self.stats.bump("stores.safe")
-        return not safe
-
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.yla.observe_load_issue(load.addr, load.seq)
-        return super().on_load_issue(load, cycle)
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        self.yla.observe_load_issue(addr, age)
-        self.stats.bump("yla.wrongpath_updates")
-
-    def on_recovery(self, last_kept_seq: int) -> None:
-        self.yla.rollback(last_kept_seq)
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.yla.rollback(last_kept_seq)
-
     def soa_hooks(self, kernel):
-        if self.coherence:
-            return None
-        return _YlaSoaHooks(self, kernel)
+        return _YlaHooks(self, kernel)
 
     def collect(self) -> None:
         self.stats["yla.compares"] = self.yla.compares
@@ -151,41 +60,8 @@ class BloomFilteredScheme(ConventionalScheme):
         self.bloom = CountingBloomFilter(entries)
         self._phantoms: List[int] = []
 
-    def _should_search(self, store: DynInstr) -> bool:
-        present = self.bloom.may_contain(store.addr)
-        if not present:
-            self.stats.bump("stores.safe")
-        return present
-
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.bloom.insert(load.addr)
-        return super().on_load_issue(load, cycle)
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        # Phantom wrong-path loads enter the filter and are backed out at
-        # recovery, matching the counting filter's squash behaviour.
-        self.bloom.insert(addr)
-        self._phantoms.append(addr)
-
-    def on_recovery(self, last_kept_seq: int) -> None:
-        for addr in self._phantoms:
-            self.bloom.remove(addr)
-        self._phantoms.clear()
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        for load in squashed_loads:
-            if load.issue_cycle >= 0:
-                self.bloom.remove(load.addr)
-
-    def on_commit(self, instr: DynInstr, cycle: int):
-        if instr.is_load and instr.issue_cycle >= 0:
-            self.bloom.remove(instr.addr)
-        return super().on_commit(instr, cycle)
-
     def soa_hooks(self, kernel):
-        if self.coherence:
-            return None
-        return _BloomSoaHooks(self, kernel)
+        return _BloomHooks(self, kernel)
 
     def collect(self) -> None:
         self.stats["bloom.probes"] = self.bloom.probes
@@ -195,28 +71,44 @@ class BloomFilteredScheme(ConventionalScheme):
         self.stats["bloom.saturations"] = self.bloom.saturations
 
 
-class _ConventionalSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`ConventionalScheme`.
+class _ConventionalHooks(SoaHooks):
+    """:class:`ConventionalScheme`: every resolving store searches the LQ.
 
-    ``stats.bump`` sites match the object-path hooks one for one; the
-    LQ search-count attributes (which the object path bumps inside
-    :meth:`LoadQueue.search_younger_issued`) are batched in locals and
-    folded back once per run.
+    The LQ search tallies live on the kernel (``lq_searches``,
+    ``lq_searches_filtered``, ``lq_inv_searches``), which exports them as
+    the ``lq.*`` counters.  With coherence on, every load issue performs
+    the load-load ordering search, so the hook set also tracks which
+    issued loads an invalidation marked.
     """
 
     has_store_resolve = True
 
     def __init__(self, scheme, kernel):
         super().__init__(scheme, kernel)
-        self._searches = 0
-        self._filtered = 0
+        if scheme.coherence:
+            self.has_load_issue = True
+            #: Per-slot "an invalidation hit this issued load" bits.
+            self.inv_marked = [False] * len(kernel.seq)
 
-    def _search(self, slot: int) -> int:
-        """The unfiltered path: bump, search the slot-array LQ, classify."""
+    def _classified(self, slot: int, safe: bool, cycle: int) -> None:
+        obs = self.scheme.obs
+        if obs is not None:
+            obs.store_classified(self.k.view(slot), safe, cycle)
+
+    def _filtered(self, slot: int, cycle: int) -> int:
+        """A filter proved the store safe: count it and skip the search."""
+        self.scheme.stats.bump("stores.safe")
+        self.k.lq_searches_filtered += 1
+        self._classified(slot, True, cycle)
+        return -1
+
+    def _search(self, slot: int, cycle: int) -> int:
+        """The unfiltered path: search the slot-array LQ, classify."""
         s = self.scheme
         k = self.k
+        self._classified(slot, False, cycle)
         s.stats.bump("lq.searches")
-        self._searches += 1
+        k.lq_searches += 1
         addr = k.addr[slot]
         victim = lq_violation_search_soa(
             k.lq, k.seq, k.addr, k.size, k.icyc,
@@ -225,55 +117,97 @@ class _ConventionalSoaHooks(SoaHooks):
             s.stats.bump("replay.execution_time")
         return victim
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         self.scheme.stats.bump("stores.resolved")
-        return self._search(slot)
+        return self._search(slot, cycle)
 
-    def fold(self) -> None:
-        lq = self.scheme.lq
-        lq.searches += self._searches
-        lq.searches_filtered += self._filtered
+    def on_load_issue(self, slot: int, cycle: int) -> int:
+        if not self.scheme.coherence:
+            return -1
+        # Load-load ordering (Section 2): the issuing load searches the LQ
+        # for *younger* issued loads to the same line that saw an
+        # invalidation; replay from the oldest such load.
+        k = self.k
+        marked = self.inv_marked
+        marked[slot] = False
+        k.lq_inv_searches += 1
+        mask = ~(k.line_bytes - 1)
+        line = k.addr[slot] & mask
+        lseq = k.seq[slot]
+        seq_ = k.seq
+        for other in k.lq:
+            if (seq_[other] > lseq and k.icyc[other] >= 0 and marked[other]
+                    and (k.addr[other] & mask) == line):
+                self.scheme.stats.bump("replay.coherence")
+                return other
+        return -1
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        if not self.scheme.coherence:
+            return
+        # Every invalidation searches the whole LQ to mark matching loads.
+        k = self.k
+        k.lq_inv_searches += 1
+        mask = ~(line_bytes - 1)
+        for load in k.lq:
+            if k.icyc[load] >= 0 and (k.addr[load] & mask) == line_addr:
+                self.inv_marked[load] = True
 
 
-class _YlaSoaHooks(_ConventionalSoaHooks):
-    """:class:`YlaFilteredScheme`: YLA probe decides whether to search."""
+class _YlaHooks(_ConventionalHooks):
+    """:class:`YlaFilteredScheme`: the YLA probe decides whether to search."""
 
     has_load_issue = True
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int, cycle: int) -> int:
         k = self.k
         self.scheme.yla.observe_load_issue(k.addr[slot], k.seq[slot])
+        return super().on_load_issue(slot, cycle)
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        self.scheme.yla.observe_load_issue(addr, age)
+        self.scheme.stats.bump("yla.wrongpath_updates")
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         s = self.scheme
         k = self.k
         s.stats.bump("stores.resolved")
         if s.yla.store_is_safe(k.addr[slot], k.seq[slot]):
-            s.stats.bump("stores.safe")
-            self._filtered += 1
-            return -1
-        return self._search(slot)
+            return self._filtered(slot, cycle)
+        return self._search(slot, cycle)
+
+    def on_recovery(self, last_kept_seq: int) -> None:
+        self.scheme.yla.rollback(last_kept_seq)
+
+    def on_squash(self, last_kept_seq: int, squashed_load_addrs) -> None:
+        self.scheme.yla.rollback(last_kept_seq)
 
 
-class _BloomSoaHooks(_ConventionalSoaHooks):
+class _BloomHooks(_ConventionalHooks):
     """:class:`BloomFilteredScheme`: counting-BF probe plus commit/squash
-    removals (why this adapter wants the squashed-load addresses)."""
+    removals (why this hook set wants the squashed-load addresses)."""
 
     has_load_issue = True
     commit_mode = 1
     wants_squashed_loads = True
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int, cycle: int) -> int:
         self.scheme.bloom.insert(self.k.addr[slot])
+        return super().on_load_issue(slot, cycle)
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        # Phantom wrong-path loads enter the filter and are backed out at
+        # recovery, matching the counting filter's squash behaviour.
+        self.scheme.bloom.insert(addr)
+        self.scheme._phantoms.append(addr)
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         s = self.scheme
         s.stats.bump("stores.resolved")
         if not s.bloom.may_contain(self.k.addr[slot]):
-            s.stats.bump("stores.safe")
-            self._filtered += 1
-            return -1
-        return self._search(slot)
+            return self._filtered(slot, cycle)
+        return self._search(slot, cycle)
 
     def on_commit_load(self, slot: int) -> bool:
         k = self.k
@@ -281,9 +215,14 @@ class _BloomSoaHooks(_ConventionalSoaHooks):
             self.scheme.bloom.remove(k.addr[slot])
         return False
 
+    def on_recovery(self, last_kept_seq: int) -> None:
+        s = self.scheme
+        for addr in s._phantoms:
+            s.bloom.remove(addr)
+        s._phantoms.clear()
+
     def on_squash(self, last_kept_seq: int, squashed_load_addrs) -> None:
-        # The kernel pre-filters to issued loads (issue_cycle >= 0), so
-        # this is exactly the object path's removal loop.
+        # The kernel pre-filters to issued loads.
         remove = self.scheme.bloom.remove
         for addr in squashed_load_addrs:
             remove(addr)

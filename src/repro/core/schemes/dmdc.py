@@ -28,9 +28,8 @@ truth (issue/resolve timestamps) that the modelled hardware does not have.
 
 from typing import List, Optional
 
-from repro.backend.dyninst import DynInstr
 from repro.core.checking_table import CheckingTable, granule_bitmap
-from repro.core.schemes.base import CheckScheme, CommitDecision, SoaHooks
+from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.core.schemes.checking_queue import CheckingQueue
 from repro.core.yla import NO_LOAD, YlaFile
 from repro.utils.bitops import overlap
@@ -39,8 +38,7 @@ from repro.utils.bitops import overlap
 class _MarkedStore:
     """Classification record for one unsafe store active in the window.
 
-    Constructed from scalars so both the object path (passing ``DynInstr``
-    fields) and the SoA adapter (passing slot-array reads) share it.
+    Constructed from the committing store's slot-array fields.
     """
 
     __slots__ = ("seq", "addr", "size", "resolve_cycle", "boundary", "index", "bitmap")
@@ -89,7 +87,7 @@ class DmdcScheme(CheckScheme):
         self._global_end = NO_LOAD   # global mode: pushed at unsafe-store issue
         self._active_end = NO_LOAD   # local mode + invalidation extensions
         #: Shadows the base-class attribute with live per-instance state;
-        #: both cycle loops read it every cycle, so it stays a plain bool.
+        #: the cycle loop reads it every cycle, so it stays a plain bool.
         self.checking_active = False
         self._activation_cycle = -1
         self._overflow_pending = False
@@ -113,51 +111,6 @@ class DmdcScheme(CheckScheme):
         if self.coherence:
             base += "-coherent"
         return base
-
-    # ------------------------------------------------------------------
-    # execution-time hooks
-    # ------------------------------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.yla.observe_load_issue(load.addr, load.seq)
-        if self.yla_line is not None:
-            self.yla_line.observe_load_issue(load.addr, load.seq)
-        # The FIFO load queue records the hash key at issue (Section 4.2).
-        if self.table is not None:
-            load.hash_key = self.table.index(load.addr)
-        self.stats.bump("lq.keys_written")
-        return None
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        self.yla.observe_load_issue(addr, age)
-        if self.yla_line is not None:
-            self.yla_line.observe_load_issue(addr, age)
-        self.stats.bump("yla.wrongpath_updates")
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.stats.bump("stores.resolved")
-        word_safe = self.yla.store_is_safe(store.addr, store.seq)
-        line_safe = (
-            self.yla_line.store_is_safe(store.addr, store.seq)
-            if self.yla_line is not None
-            else False
-        )
-        if word_safe or line_safe:
-            self.stats.bump("stores.safe")
-            if self.obs is not None:
-                self.obs.store_classified(store, True, cycle)
-            return None
-        self.stats.bump("stores.unsafe")
-        if self.obs is not None:
-            self.obs.store_classified(store, False, cycle)
-        store.unsafe_store = True
-        boundary = self.yla.youngest_for(store.addr)
-        if self.yla_line is not None:
-            boundary = min(boundary, self.yla_line.youngest_for(store.addr))
-        store.window_end = boundary
-        if not self.local:
-            if boundary > self._global_end:
-                self._global_end = boundary
-        return None
 
     # ------------------------------------------------------------------
     # commit-time machinery
@@ -209,159 +162,12 @@ class DmdcScheme(CheckScheme):
         self._active_end = NO_LOAD
         self._overflow_pending = False
 
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        decision = CommitDecision.OK
-        if self.checking_active and instr.is_load:
-            decision = self._commit_load_checked(instr, cycle)
-            if decision == CommitDecision.REPLAY:
-                # The squash renumbers everything younger; the window will
-                # terminate at the next commit, which re-executes cleanly
-                # after the already-committed stores.
-                return decision
-            self._w_loads += 1
-            if instr.safe:
-                self._w_safe_loads += 1
-        if instr.is_store and instr.unsafe_store:
-            self._commit_unsafe_store(instr, cycle)
-        if self.checking_active:
-            self._w_instrs += 1
-            if instr.seq >= self._current_end():
-                self._terminate(cycle)
-        return decision
-
-    def _commit_unsafe_store(self, store: DynInstr, cycle: int) -> None:
-        self._activate(cycle)
-        self._w_unsafe_stores += 1
-        self.stats.bump("stores.unsafe_committed")
-        if self.obs is not None:
-            self.obs.table_marked(store, cycle)
-        if self.table is not None:
-            index = self.table.mark_store(store.addr, store.size)
-            self._marked_stores.append(_MarkedStore(
-                store.seq, store.addr, store.size, store.resolve_cycle,
-                store.window_end, index))
-        else:
-            if not self.queue.insert(store.seq, store.addr, store.size):
-                self._overflow_pending = True
-            self._marked_stores.append(_MarkedStore(
-                store.seq, store.addr, store.size, store.resolve_cycle,
-                store.window_end, -1))
-        if self.local and store.window_end > self._active_end:
-            self._active_end = store.window_end
-
-    def _commit_load_checked(self, load: DynInstr, cycle: int) -> CommitDecision:
-        if load.safe and (self.safe_loads or load.guard_bypass):
-            self.stats.bump("loads.safe_bypassed")
-            return CommitDecision.OK
-        if load.seq > self._current_end():
-            # Past the boundary: this commit terminates the window below.
-            return CommitDecision.OK
-        self.stats.bump("loads.checked")
-        if self._overflow_pending:
-            self._overflow_pending = False
-            self.stats.bump("replay.overflow")
-            return CommitDecision.REPLAY
-        if self.table is not None:
-            outcome = self.table.check_load(load.addr, load.size)
-            if outcome == CheckingTable.PROMOTED:
-                self._promoted_indices.add(self.table.index(load.addr))
-                self.stats.bump("inv.promotions")
-            hit = outcome == CheckingTable.WRT_HIT
-        else:
-            hit = self.queue.check_load(load.addr, load.size) is not None
-        if self.obs is not None:
-            self.obs.table_probed(load, hit, cycle)
-        if not hit:
-            return CommitDecision.OK
-        self._classify_replay(load)
-        return CommitDecision.REPLAY
-
-    # ------------------------------------------------------------------
-    # replay taxonomy (Tables 3 and 5)
-    # ------------------------------------------------------------------
-    def _classify_replay(self, load: DynInstr) -> None:
-        if load.true_violation_store >= 0:
-            self.stats.bump("replay.true")
-            return
-        self.stats.bump("replay.false")
-        addr_matches = [
-            s for s in self._marked_stores
-            if overlap(s.addr, s.size, load.addr, load.size)
-        ]
-        if addr_matches:
-            self._classify_timing(load, addr_matches, "addr")
-            return
-        if self.table is not None:
-            index = self.table.index(load.addr)
-            bits = granule_bitmap(load.addr, load.size)
-            conflicts = [
-                s for s in self._marked_stores
-                if s.index == index and (s.bitmap & bits)
-            ]
-            if conflicts:
-                self._classify_timing(load, conflicts, "hash")
-                return
-            if index in self._promoted_indices or index in self._inv_marked_indices:
-                self.stats.bump("replay.false.inv")
-                return
-            # A hash entry can also be hit through promotion granules set by
-            # a different address; attribute to hashing.
-            self.stats.bump("replay.false.hash.Y")
-            return
-        # Checking-queue mode: only exact-address matches exist.
-        self.stats.bump("replay.false.addr.Y")
-
-    def _classify_timing(self, load: DynInstr, stores: List[_MarkedStore], kind: str) -> None:
-        issued_before = [s for s in stores if load.issue_cycle < s.resolve_cycle]
-        in_window = [s for s in stores if s.seq < load.seq <= s.boundary]
-        if kind == "hash" and issued_before:
-            self.stats.bump("replay.false.hash.before")
-        elif in_window:
-            self.stats.bump(f"replay.false.{kind}.X")
-        else:
-            self.stats.bump(f"replay.false.{kind}.Y")
-
-    # ------------------------------------------------------------------
-    # recovery / coherence
-    # ------------------------------------------------------------------
-    def on_recovery(self, last_kept_seq: int) -> None:
-        self.yla.rollback(last_kept_seq)
-        if self.yla_line is not None:
-            self.yla_line.rollback(last_kept_seq)
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.yla.rollback(last_kept_seq)
-        if self.yla_line is not None:
-            self.yla_line.rollback(last_kept_seq)
-
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        if not self.coherence or self.yla_line is None or self.table is None:
-            return
-        self.stats.bump("inv.received")
-        youngest = self.yla_line.youngest_for(line_addr)
-        if youngest < oldest_inflight_seq:
-            # No in-flight issued load to this line's bank: nothing to do.
-            self.stats.bump("inv.filtered")
-            return
-        self.stats.bump("inv.marked")
-        for index in self.table.mark_invalidation(line_addr, line_bytes):
-            self._inv_marked_indices.add(index)
-        self._activate(cycle)
-        if youngest > self._active_end:
-            self._active_end = youngest
-
     def finalize(self, cycle: int) -> None:
         if self.checking_active:
             self._terminate(cycle)
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            # The line-interleaved YLA / INV-bit machinery is exercised by
-            # invalidation runs only, which the SoA gate already excludes;
-            # stay on the object path for any coherent configuration.
-            return None
-        return _DmdcSoaHooks(self, kernel)
+        return _DmdcHooks(self, kernel)
 
     def collect(self) -> None:
         self.stats["yla.compares"] = self.yla.compares
@@ -381,48 +187,75 @@ class DmdcScheme(CheckScheme):
             self.stats["ckq.overflows"] = self.queue.overflows
 
 
-class _DmdcSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`DmdcScheme` (coherence off).
+class _DmdcHooks(SoaHooks):
+    """:class:`DmdcScheme`'s hook set.
 
-    Component calls (YLA, table/queue) and ``stats.bump`` sites match the
-    object-path hooks one for one; only the FIFO-LQ ``hash_key`` write is
-    skipped — the field is write-only in the object path (its energy cost
-    is charged via ``lq.keys_written``, which is still bumped).
+    The FIFO load queue's hash key (Section 4.2) is not stored: nothing
+    reads it back, and its energy is charged via ``lq.keys_written``.
     """
 
     has_load_issue = True
     has_store_resolve = True
     commit_mode = 2
 
-    def on_load_issue(self, slot: int) -> None:
+    # ------------------------------------------------------------------
+    # execution-time hooks
+    # ------------------------------------------------------------------
+    def on_load_issue(self, slot: int, cycle: int) -> int:
         s = self.scheme
         k = self.k
-        s.yla.observe_load_issue(k.addr[slot], k.seq[slot])
+        addr = k.addr[slot]
+        seq = k.seq[slot]
+        s.yla.observe_load_issue(addr, seq)
+        if s.yla_line is not None:
+            s.yla_line.observe_load_issue(addr, seq)
         s.stats.bump("lq.keys_written")
+        return -1
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        s = self.scheme
+        s.yla.observe_load_issue(addr, age)
+        if s.yla_line is not None:
+            s.yla_line.observe_load_issue(addr, age)
+        s.stats.bump("yla.wrongpath_updates")
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         s = self.scheme
         k = self.k
         s.stats.bump("stores.resolved")
         addr = k.addr[slot]
         sseq = k.seq[slot]
-        if s.yla.store_is_safe(addr, sseq):
+        # Both YLA sets are probed (each probe is a priced compare).
+        safe = s.yla.store_is_safe(addr, sseq)
+        if s.yla_line is not None and s.yla_line.store_is_safe(addr, sseq):
+            safe = True
+        if s.obs is not None:
+            s.obs.store_classified(k.view(slot), safe, cycle)
+        if safe:
             s.stats.bump("stores.safe")
             return -1
         s.stats.bump("stores.unsafe")
         k.unsafe[slot] = True
         boundary = s.yla.youngest_for(addr)
+        if s.yla_line is not None:
+            boundary = min(boundary, s.yla_line.youngest_for(addr))
         k.wend[slot] = boundary
         if not s.local:
             if boundary > s._global_end:
                 s._global_end = boundary
         return -1
 
+    # ------------------------------------------------------------------
+    # commit-time machinery
+    # ------------------------------------------------------------------
     def on_commit(self, slot: int, cycle: int) -> bool:
         s = self.scheme
         k = self.k
         if s.checking_active and k.isld[slot]:
-            if self._commit_load_checked(slot):
+            if self._commit_load_checked(slot, cycle):
+                # The squash renumbers everything younger; the window will
+                # terminate at the next commit, which re-executes cleanly
+                # after the already-committed stores.
                 return True
             s._w_loads += 1
             if k.safe[slot]:
@@ -441,6 +274,8 @@ class _DmdcSoaHooks(SoaHooks):
         s._activate(cycle)
         s._w_unsafe_stores += 1
         s.stats.bump("stores.unsafe_committed")
+        if s.obs is not None:
+            s.obs.table_marked(k.view(slot), cycle)
         addr = k.addr[slot]
         size = k.size[slot]
         if s.table is not None:
@@ -454,7 +289,7 @@ class _DmdcSoaHooks(SoaHooks):
         if s.local and k.wend[slot] > s._active_end:
             s._active_end = k.wend[slot]
 
-    def _commit_load_checked(self, slot: int) -> bool:
+    def _commit_load_checked(self, slot: int, cycle: int) -> bool:
         s = self.scheme
         k = self.k
         if k.safe[slot] and (s.safe_loads or k.gbp[slot]):
@@ -478,11 +313,16 @@ class _DmdcSoaHooks(SoaHooks):
             hit = outcome == CheckingTable.WRT_HIT
         else:
             hit = s.queue.check_load(addr, size) is not None
+        if s.obs is not None:
+            s.obs.table_probed(k.view(slot), hit, cycle)
         if not hit:
             return False
         self._classify_replay(slot)
         return True
 
+    # ------------------------------------------------------------------
+    # replay taxonomy (Tables 3 and 5)
+    # ------------------------------------------------------------------
     def _classify_replay(self, slot: int) -> None:
         s = self.scheme
         k = self.k
@@ -512,8 +352,11 @@ class _DmdcSoaHooks(SoaHooks):
             if index in s._promoted_indices or index in s._inv_marked_indices:
                 s.stats.bump("replay.false.inv")
                 return
+            # A hash entry can also be hit through promotion granules set
+            # by a different address; attribute to hashing.
             s.stats.bump("replay.false.hash.Y")
             return
+        # Checking-queue mode: only exact-address matches exist.
         s.stats.bump("replay.false.addr.Y")
 
     def _classify_timing(self, slot: int, stores: List[_MarkedStore], kind: str) -> None:
@@ -529,3 +372,33 @@ class _DmdcSoaHooks(SoaHooks):
             s.stats.bump(f"replay.false.{kind}.X")
         else:
             s.stats.bump(f"replay.false.{kind}.Y")
+
+    # ------------------------------------------------------------------
+    # recovery / coherence
+    # ------------------------------------------------------------------
+    def on_recovery(self, last_kept_seq: int) -> None:
+        s = self.scheme
+        s.yla.rollback(last_kept_seq)
+        if s.yla_line is not None:
+            s.yla_line.rollback(last_kept_seq)
+
+    def on_squash(self, last_kept_seq: int, squashed_load_addrs) -> None:
+        self.on_recovery(last_kept_seq)
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        s = self.scheme
+        if not s.coherence or s.yla_line is None or s.table is None:
+            return
+        s.stats.bump("inv.received")
+        youngest = s.yla_line.youngest_for(line_addr)
+        if youngest < oldest_inflight_seq:
+            # No in-flight issued load to this line's bank: nothing to do.
+            s.stats.bump("inv.filtered")
+            return
+        s.stats.bump("inv.marked")
+        for index in s.table.mark_invalidation(line_addr, line_bytes):
+            s._inv_marked_indices.add(index)
+        s._activate(cycle)
+        if youngest > s._active_end:
+            s._active_end = youngest

@@ -18,13 +18,11 @@ Contrasts with DMDC, per the paper's related-work discussion:
   costlier than DMDC's replay-from-the-load.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.backend.dyninst import DynInstr
 from repro.core.schemes.base import CheckScheme, SoaHooks
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
-from repro.utils.ring import RingBuffer
 
 
 class AgeHashTable:
@@ -73,58 +71,9 @@ class GargAgeHashScheme(CheckScheme):
         #: real hardware cannot implement cheaply); False models the
         #: pollution the paper says DMDC "naturally avoids".
         self.repair_on_squash = repair_on_squash
-        self._rob: Optional[RingBuffer] = None
-
-    def attach_rob(self, rob: RingBuffer) -> None:
-        """Bind the ROB; needed to pick the flush point on a hit."""
-        self._rob = rob
-
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.table.observe_load(load.addr, load.seq)
-        return None
-
-    def on_wrongpath_load(self, age: int, addr: int) -> None:
-        self.table.observe_load(addr, age)
-        self.stats.bump("garg.wrongpath_updates")
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if self._rob is None:
-            raise SimulationError("Garg scheme not attached to the ROB")
-        self.stats.bump("stores.resolved")
-        youngest = self.table.youngest_for(store.addr)
-        if youngest <= store.seq:
-            self.stats.bump("stores.safe")
-            if self.obs is not None:
-                self.obs.store_classified(store, True, cycle)
-            return None
-        if self.obs is not None:
-            self.obs.store_classified(store, False, cycle)
-        # Possible premature load somewhere younger: flush from the first
-        # instruction after the store (the table cannot name the load).
-        for entry in self._rob:
-            if entry.seq > store.seq:
-                self.stats.bump("replay.execution_time")
-                if entry.true_violation_store < 0 and not (
-                    entry.is_load and entry.issue_cycle >= 0
-                    and entry.addr >> 3 == store.addr >> 3
-                ):
-                    self.stats.bump("replay.false")
-                return entry
-        # Stale table entry (e.g. from a squashed load) with nothing
-        # younger in flight: nothing to do.
-        self.stats.bump("garg.stale_hits")
-        return None
-
-    def on_recovery(self, last_kept_seq: int) -> None:
-        if self.repair_on_squash:
-            self.table.rollback(last_kept_seq)
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        if self.repair_on_squash:
-            self.table.rollback(last_kept_seq)
 
     def soa_hooks(self, kernel):
-        return _GargSoaHooks(self, kernel)
+        return _GargHooks(self, kernel)
 
     def collect(self) -> None:
         self.stats["garg.table.reads"] = self.table.reads
@@ -132,22 +81,26 @@ class GargAgeHashScheme(CheckScheme):
         self.stats["garg.table.entries"] = self.table.entries
 
 
-class _GargSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`GargAgeHashScheme`.
+class _GargHooks(SoaHooks):
+    """:class:`GargAgeHashScheme`'s hook set.
 
-    The flush-point scan walks the kernel's ROB slot list instead of the
-    processor's ring; both are age-ordered, so the first entry younger
-    than the store is the same instruction.
+    A hit flushes from the first ROB entry younger than the store: the
+    table cannot name the offending load.
     """
 
     has_load_issue = True
     has_store_resolve = True
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int, cycle: int) -> int:
         k = self.k
         self.scheme.table.observe_load(k.addr[slot], k.seq[slot])
+        return -1
 
-    def on_store_resolve(self, slot: int) -> int:
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        self.scheme.table.observe_load(addr, age)
+        self.scheme.stats.bump("garg.wrongpath_updates")
+
+    def on_store_resolve(self, slot: int, cycle: int) -> int:
         s = self.scheme
         k = self.k
         s.stats.bump("stores.resolved")
@@ -155,7 +108,13 @@ class _GargSoaHooks(SoaHooks):
         sseq = k.seq[slot]
         if s.table.youngest_for(addr) <= sseq:
             s.stats.bump("stores.safe")
+            if s.obs is not None:
+                s.obs.store_classified(k.view(slot), True, cycle)
             return -1
+        if s.obs is not None:
+            s.obs.store_classified(k.view(slot), False, cycle)
+        # Possible premature load somewhere younger: flush from the first
+        # instruction after the store.
         seq_ = k.seq
         line = addr >> 3
         for entry in k.rob:
@@ -167,5 +126,15 @@ class _GargSoaHooks(SoaHooks):
                 ):
                     s.stats.bump("replay.false")
                 return entry
+        # Stale table entry (e.g. from a squashed load) with nothing
+        # younger in flight: nothing to do.
         s.stats.bump("garg.stale_hits")
         return -1
+
+    def on_recovery(self, last_kept_seq: int) -> None:
+        if self.scheme.repair_on_squash:
+            self.scheme.table.rollback(last_kept_seq)
+
+    def on_squash(self, last_kept_seq: int, squashed_load_addrs) -> None:
+        if self.scheme.repair_on_squash:
+            self.scheme.table.rollback(last_kept_seq)

@@ -19,8 +19,7 @@ re-execution rate; this implements the naive scheme the comparison in
 Section 7 refers to.
 """
 
-from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CheckScheme, CommitDecision, SoaHooks
+from repro.core.schemes.base import CheckScheme, SoaHooks
 
 
 class ValueBasedScheme(CheckScheme):
@@ -31,24 +30,14 @@ class ValueBasedScheme(CheckScheme):
     reexecutes_loads = True
     name = "value"
 
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        if not instr.is_load:
-            return CommitDecision.OK
-        self.stats.bump("value.reexecutions")
-        if instr.true_violation_store >= 0:
-            # The re-executed value differs: squash and refetch the load.
-            self.stats.bump("replay.true")
-            return CommitDecision.REPLAY
-        return CommitDecision.OK
-
     def soa_hooks(self, kernel):
-        return _ValueSoaHooks(self, kernel)
+        return _ValueHooks(self, kernel)
 
 
-class _ValueSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`ValueBasedScheme`: the kernel
-    charges the commit-time D-cache re-access itself (``reexecutes_loads``);
-    only the value comparison lives here."""
+class _ValueHooks(SoaHooks):
+    """:class:`ValueBasedScheme`'s hook set: the kernel charges the
+    commit-time D-cache re-access itself (``reexecutes_loads``); only the
+    value comparison lives here."""
 
     commit_mode = 1
 
@@ -56,6 +45,7 @@ class _ValueSoaHooks(SoaHooks):
         s = self.scheme
         s.stats.bump("value.reexecutions")
         if self.k.tvs[slot] >= 0:
+            # The re-executed value differs: squash and refetch the load.
             s.stats.bump("replay.true")
             return True
         return False

@@ -1,5 +1,5 @@
-"""Load/store queues with forwarding, rejection, and associative search."""
+"""Load/store queue searches: forwarding, rejection, and violation search."""
 
-from repro.lsq.queues import ForwardAction, ForwardResult, LoadQueue, StoreQueue
+from repro.lsq.queues import lq_violation_search_soa, sq_forward_search_soa
 
-__all__ = ["ForwardAction", "ForwardResult", "LoadQueue", "StoreQueue"]
+__all__ = ["lq_violation_search_soa", "sq_forward_search_soa"]

@@ -153,8 +153,8 @@ class ObservabilityRecorder:
     def _tick(self, cycle: int, bit: int) -> None:
         """Fold one pipeline event into the streaming cycle buckets.
 
-        Events arrive cycle-monotonic (every stage of one ``step()`` shares
-        the processor's current cycle), so a single current-cycle flag word
+        Events arrive cycle-monotonic (every stage of one kernel cycle
+        shares its cycle number), so a single current-cycle flag word
         suffices.
         """
         if cycle != self._cur_cycle:

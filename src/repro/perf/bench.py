@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.sim.config import CONFIG2, SCHEME_LABELS, MachineConfig, SchemeConfig
 from repro.sim.processor import NO_FASTPATH_ENV, Processor
 from repro.sim.runner import instruction_budget, run_many
-from repro.sim.soa import NO_SOA_ENV
 
 #: Default output file, at the repository root by convention.
 BENCH_FILENAME = "BENCH_simulator.json"
@@ -93,14 +92,11 @@ def _effective_knobs() -> Dict:
     from repro.exec.options import CACHE_ENABLE_ENV, PARALLEL_ENV, EngineOptions
 
     options = EngineOptions.from_env()
-    tracked = (NO_FASTPATH_ENV, NO_SOA_ENV, PARALLEL_ENV, CACHE_ENABLE_ENV)
+    tracked = (NO_FASTPATH_ENV, PARALLEL_ENV, CACHE_ENABLE_ENV)
     return {
         # repro: noqa[REPRO011] — this function *is* the knob recorder:
         # it reads the raw environment precisely to report what was set.
         "fastpath_enabled": not bool(os.environ.get(NO_FASTPATH_ENV)),  # repro: noqa[REPRO011]
-        # The *requested* kernel; each row also records the kernel its
-        # processor actually engaged (a hook or tracer forces "object").
-        "kernel": "object" if os.environ.get(NO_SOA_ENV) else "soa",  # repro: noqa[REPRO011]
         "engine_cache_enabled": options.cache_enabled,
         "engine_workers": options.resolve_workers(),
         "env": {name: os.environ[name] for name in tracked  # repro: noqa[REPRO011]
@@ -136,9 +132,8 @@ def _bench_one(config: MachineConfig, trace, budget: int, seed: int,
         "ipc": result.ipc,
         # Effective per-row, not just the global env flag: a future
         # tracer/hook user of this helper would silently lose the fast
-        # path or the SoA kernel, and the row must say so.
+        # path, and the row must say so.
         "fastpath_enabled": processor.fastpath_enabled,
-        "kernel": processor.kernel_used,
         "fast_forwarded_cycles": processor.fast_forwarded_cycles,
         "fast_forward_fraction": (
             processor.fast_forwarded_cycles / total_cycles if total_cycles else 0.0
@@ -302,8 +297,6 @@ def validate_payload(payload: Dict) -> List[str]:
     if "knobs" in payload and "fastpath_enabled" not in payload["knobs"]:
         problems.append("knobs missing fastpath_enabled provenance")
     if payload.get("schema", 0) >= 3:
-        if "kernel" not in payload.get("knobs", {}):
-            problems.append("knobs missing kernel provenance")
         batch = payload.get("batch")
         if not batch:
             problems.append("missing run_many batch row")
@@ -327,7 +320,4 @@ def validate_payload(payload: Dict) -> List[str]:
             if "fastpath_enabled" not in sub:
                 problems.append(
                     f"scheme {label}/{name}: missing fastpath provenance")
-            if payload.get("schema", 0) >= 3 and "kernel" not in sub:
-                problems.append(
-                    f"scheme {label}/{name}: missing kernel provenance")
     return problems

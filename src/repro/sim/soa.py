@@ -1,9 +1,7 @@
-"""Structure-of-arrays cycle kernel (the batched fast path).
+"""Structure-of-arrays cycle kernel: the simulator's one cycle loop.
 
-The object-path pipeline in :mod:`repro.sim.processor` spends most of its
-time in CPython dispatch: ~50 function calls and attribute chains per
-committed instruction.  This module re-expresses the *same* cycle-level
-semantics over preallocated parallel arrays:
+Every simulation — plain, traced, profiled, sanitized, validated, or with
+invalidations injected — runs here, over preallocated parallel arrays:
 
 * every in-flight instruction occupies a **slot** in a fixed pool; all
   per-instruction state (`seq`, `state`, `addr`, timestamps, dependence
@@ -15,16 +13,18 @@ semantics over preallocated parallel arrays:
   list append, draining a cycle is one indexed read, and a stale event for
   a squashed-and-reused slot is detected by one integer compare instead of
   an object state read;
-* the per-stage methods of the object path are fused into one loop in
-  :meth:`SoaKernel.run`, and scheme callbacks receive slot indices (see the
-  ``soa_hooks`` adapters in :mod:`repro.core.schemes`).
+* the pipeline stages (commit -> writeback -> issue -> dispatch -> fetch)
+  are fused into one loop in :meth:`SoaKernel.run`, and the scheme's hook
+  set receives slot indices (see :class:`repro.core.schemes.base.SoaHooks`).
 
-The kernel is **bit-identical** to the object path — same counters, same
-cycle counts, same RNG stream — which `tests/test_soa_equivalence.py`
-enforces over the full scheme × workload matrix.  It is an optimisation
-with an escape hatch, not a fork: set ``REPRO_NO_SOA=1`` (or attach a
-tracer / sanitizer hook / observability recorder) and the processor steps
-the object path instead.  See ``docs/performance.md``.
+Observers ride ``is None``-gated emit sites bound to locals before the
+loop, so an unobserved run pays one comparison per site: the pipeline
+tracer (fetch, dispatch, issue, reject, complete, commit, replay and
+squash events, each carrying a :class:`~repro.backend.dyninst.DynInstr`
+view of the slot), the recorder's replay seam (``Processor.obs``), the
+invalidation injector's per-cycle draw, and a per-cycle callback
+(:func:`repro.sim.validate.run_with_validation`).  The sanitizer wraps the
+scheme, so its hook set wraps the scheme's.  See ``docs/performance.md``.
 
 Slot identity: a slot is recycled as soon as its instruction retires or is
 squashed, and ``next_seq`` never rolls back on a squash, so live sequence
@@ -35,11 +35,10 @@ consumer lists, the rename map).
 """
 
 import heapq
-import os
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
-from repro.backend.dyninst import InstrState
+from repro.backend.dyninst import DynInstr, InstrState
 from repro.backend.resources import FunctionalUnits
 from repro.errors import OrderingViolationMissed, SimulationError
 from repro.lsq.queues import (
@@ -49,10 +48,6 @@ from repro.lsq.queues import (
     sq_forward_search_soa,
 )
 
-#: Environment escape hatch: set to any non-empty value to force the
-#: object-path pipeline even when a run is otherwise SoA-eligible.
-NO_SOA_ENV = "REPRO_NO_SOA"
-
 _ST_DISPATCHED = int(InstrState.DISPATCHED)
 _ST_READY = int(InstrState.READY)
 _ST_ISSUED = int(InstrState.ISSUED)
@@ -61,18 +56,13 @@ _ST_COMMITTED = int(InstrState.COMMITTED)
 _ST_SQUASHED = int(InstrState.SQUASHED)
 
 #: Dispatch-stall cause codes shared by the inline dispatch stage and the
-#: fast-forward probe (mirrors ``Processor._dispatch_stall_slot``).
+#: fast-forward probe.
 _STALL_NONE = 0
 _STALL_ROB = 1
 _STALL_IQ = 2
 _STALL_LQ = 3
 _STALL_SQ = 4
 _STALL_REGS = 5
-
-
-def soa_enabled() -> bool:
-    """The environment gate for the SoA kernel (re-read per processor)."""
-    return not os.environ.get(NO_SOA_ENV)  # repro: noqa[REPRO011]
 
 
 class TraceSoA:
@@ -213,13 +203,14 @@ class KernelBuffers:
 
 
 class SoaKernel:
-    """One run of one processor through the fused SoA cycle loop.
+    """One run of one processor through the fused cycle loop.
 
     Construction binds the processor's components (memory, predictor,
-    scheme, store sets...) and array views; :meth:`run` executes the
-    cycle loop and folds every counter back into the processor so
-    ``Processor._build_result`` sees exactly the state the object path
-    would have produced.
+    scheme, store sets, observers...) and array views; :meth:`run`
+    executes the cycle loop and folds every counter back into the
+    processor for ``Processor._build_result``.  The kernel object stays
+    on the processor (``Processor.kernel``) so the structural checks of
+    :mod:`repro.sim.validate` can inspect its state.
     """
 
     def __init__(self, processor, buffers: Optional[KernelBuffers] = None) -> None:
@@ -230,12 +221,13 @@ class SoaKernel:
             buffers = KernelBuffers.for_config(config)
         self.b = b = buffers
         self.t = trace_soa(p.trace)
+        self.ops = p.trace.ops
 
         # Slot pool -----------------------------------------------------
         self.pbits = b.pbits
         self.pmask = b.pmask
         self.free: List[int] = list(range(b.pool - 1, -1, -1))
-        # Array views (aliases so adapters read k.seq etc.).
+        # Array views (aliases so hooks read k.seq etc.).
         self.seq = b.seq
         self.tidx = b.tidx
         self.state = b.state
@@ -259,6 +251,9 @@ class SoaKernel:
         self.wend = b.wend
         self.snap = b.snap
         self.cons = b.cons
+        #: Observer views of live slots (see :meth:`view`); per kernel, not
+        #: in the shared buffers, so a batch-mate's views never leak in.
+        self.views: List[Optional[DynInstr]] = [None] * b.pool
 
         # Age-ordered queues as slot deques (O(1) head pops at retire;
         # squash cuts pop the tail, so no mid-queue surgery ever happens).
@@ -283,7 +278,7 @@ class SoaKernel:
         # Event schedules as cycle-indexed rings of enc-int lists.  The
         # furthest anything is ever scheduled is one full memory miss (or
         # the slowest FU / the reject retry delay), so a power-of-two ring
-        # spanning that horizon replaces the dict + key-heap pair: schedule
+        # spanning that horizon replaces a dict + key-heap pair: schedule
         # is one append, consume is one indexed read per cycle.
         memory = p.memory
         horizon = 4 + max(
@@ -311,13 +306,18 @@ class SoaKernel:
         self.iq_fp = 0
         self.replay_streak: Dict[int, int] = {}
         self.force_nonspec: Set[int] = set()
-        self.checking_cycles = 0
-        self.ff_cycles = 0
 
         # Cold-path counters folded into HotCounters at the end.
         self.n_squash = 0
         self.n_guard_trips = 0
         self.n_gt_violations = 0
+        # Queue search tallies, exported as the ``lq.*``/``sq.*`` counters
+        # (the LQ ones are bumped by the scheme's hook set).
+        self.lq_searches = 0
+        self.lq_searches_filtered = 0
+        self.lq_inv_searches = 0
+        self.sq_searches = 0
+        self.sq_searches_filtered = 0
 
         # Component bindings --------------------------------------------
         self.memory = p.memory
@@ -325,14 +325,13 @@ class SoaKernel:
         self.scheme = p.scheme
         self.storesets = p.storesets
         self.wrongpath = p.wrongpath
+        self.invalidations = p.invalidations
         self.regs_int = p.regs_int
         self.regs_fp = p.regs_fp
         self.fu_caps = p.fus._caps_list
         self.fu_avail = p.fus._avail_list
-        #: Slot-index adapter for the scheme, or None when the scheme (or
-        #: this configuration of it) has no SoA transcription — the caller
-        #: must then step the object path instead of calling :meth:`run`.
-        self.hooks = p.scheme.soa_hooks(self)
+        self.tracer = p.tracer
+        self.obs = p.obs
 
         # Config scalars ------------------------------------------------
         self.width = config.width
@@ -350,21 +349,46 @@ class SoaKernel:
         self.branch_penalty = config.branch_penalty
         self.replay_penalty = config.replay_penalty
         self.replay_guard = config.replay_guard
+        self.line_bytes = config.l2_line_bytes
         self.sq_filter = config.scheme.sq_filter
         self.fastpath = p.fastpath_enabled
         self.reexec_loads = p.scheme.reexecutes_loads
 
+        #: The scheme's hook set for this run (bound last: hook sets read
+        #: the kernel's columns and scalars).
+        self.hooks = p.scheme.soa_hooks(self)
+
+    def view(self, slot: int) -> DynInstr:
+        """The observer-facing :class:`DynInstr` of live ``slot``, current
+        as of now.
+
+        With a tracer attached the view is the one built at fetch (whose
+        ``dispatch_cycle`` the dispatch stage records); otherwise it is
+        built on demand.  Only observers call this — never the
+        unobserved hot path.
+        """
+        v = self.views[slot]
+        if v is None or v.seq != self.seq[slot]:
+            ti = self.tidx[slot]
+            v = DynInstr(self.ops[ti], ti, self.seq[slot], self.fp[slot])
+            self.views[slot] = v
+        v.state = InstrState(self.state[slot])
+        v.issue_cycle = self.icyc[slot]
+        v.resolve_cycle = self.rcyc[slot]
+        v.forward_store_seq = self.fwdseq[slot]
+        v.true_violation_store = self.tvs[slot]
+        return v
+
     # ------------------------------------------------------------------
     # The fused cycle loop
     # ------------------------------------------------------------------
-    def run(self, target: int, max_cycles: int) -> None:
+    def run(self, target: int, max_cycles: int,
+            on_cycle: Optional[Callable[[int], None]] = None) -> None:
         """Simulate until ``target`` instructions commit.
 
-        One Python frame replaces the object path's per-cycle call tree
-        (`step` -> stages -> leaf helpers); every stage below is a
-        transcription of its ``Processor`` counterpart over slot arrays,
-        in the same order with the same gates, so counters, RNG use and
-        cycle numbering are bit-identical.
+        One Python frame runs every stage of every cycle.  ``on_cycle``,
+        when given, is called with the new cycle number at the end of each
+        stepped cycle (after any idle stretch the fast path skipped).
         """
         # --- local bindings (hot state) --------------------------------
         p = self.p
@@ -433,6 +457,11 @@ class SoaKernel:
 
         scheme = self.scheme
         hooks = self.hooks
+        tracer = self.tracer
+        obs = self.obs
+        views_ = self.views
+        view = self.view
+        ops = self.ops
         storesets = self.storesets
         memory = self.memory
         mem_read = memory.read
@@ -448,6 +477,14 @@ class SoaKernel:
         fu_caps = self.fu_caps
         fu_avail = self.fu_avail
         wp_addrs = self.wrongpath._recent_addrs
+        wp_loads = self.wrongpath.loads_for_mispredict
+        invalidations = self.invalidations
+        inv_enabled = invalidations.enabled
+        inv_draw = invalidations.maybe_invalidate
+        inv_observe = invalidations.observe
+        mem_invalidate = memory.invalidate
+        line_bytes = self.line_bytes
+        gt_check = self._ground_truth_store_resolve
 
         width = self.width
         decode_latency = self.decode_latency
@@ -471,6 +508,9 @@ class SoaKernel:
         hook_store = hooks.on_store_resolve
         hook_commit_load = hooks.on_commit_load
         hook_commit = hooks.on_commit
+        hook_wrongpath = hooks.on_wrongpath_load
+        hook_recovery = hooks.on_recovery
+        hook_invalidation = hooks.on_invalidation
 
         cycle = 0
         committed = 0
@@ -478,7 +518,7 @@ class SoaKernel:
         checking_cycles = 0
 
         # --- hot counters as locals (folded into HotCounters below) ----
-        n_replays = n_replays_commit = n_replays_exec = 0
+        n_replays = n_replays_commit = n_replays_exec = n_replays_coh = 0
         n_commit = n_commit_loads = n_commit_safe = n_commit_stores = 0
         n_commit_branches = n_reexec = 0
         n_regw = n_regr = n_wakeups = 0
@@ -490,12 +530,17 @@ class SoaKernel:
         n_stall_rob = n_stall_iq = n_stall_lq = n_stall_sq = n_stall_regs = 0
         n_lq_writes = n_sq_writes = n_rename = n_rob_writes = 0
         n_fetch_stall = n_fetch = n_icache_miss = n_icache_reads = 0
-        n_bpred = 0
+        n_bpred = n_inv = 0
 
         limit_plus_one = max_cycles + 1
 
         while committed < target:
-            # ===== event-horizon fast forward (Processor._maybe_fast_forward)
+            # ===== event-horizon fast forward ===========================
+            # Jump over a stretch of provably idle cycles: nothing can
+            # issue or commit, and dispatch/fetch are blocked on conditions
+            # only a scheduled event (completion, retry, timer) can clear.
+            # The idle bookkeeping counters are accounted in closed form,
+            # so a skip is indistinguishable from stepping each cycle.
             if fastpath and not ready:
                 head_can_commit = rob and state_[rob[0]] == _ST_COMPLETED
                 if not head_can_commit:
@@ -578,7 +623,7 @@ class SoaKernel:
             if scheme.checking_active:
                 checking_cycles += 1
 
-            # ===== commit (Processor._stage_commit + _retire) ============
+            # ===== commit ================================================
             if rob and state_[rob[0]] == _ST_COMPLETED:
                 slots_left = width
                 while slots_left:
@@ -599,9 +644,15 @@ class SoaKernel:
                     elif commit_mode == 1:
                         if isld_[head]:
                             replay = hook_commit_load(head)
+                    elif commit_mode == 3:
+                        replay = hook_commit(head, cycle)
                     if replay:
                         n_replays += 1
                         n_replays_commit += 1
+                        if tracer is not None:
+                            tracer.record("replay", views_[head], cycle)
+                        if obs is not None:
+                            obs.replay(view(head), "commit", cycle)
                         self.cycle = cycle
                         self._squash_from(head)
                         squashed_this_cycle = True
@@ -615,6 +666,8 @@ class SoaKernel:
                     # ---- retire ----
                     ti = tidx_[head]
                     state_[head] = _ST_COMMITTED
+                    if tracer is not None:
+                        tracer.record("commit", views_[head], cycle)
                     rob.popleft()
                     dst = tdst[ti]
                     if dst >= 0:
@@ -669,7 +722,7 @@ class SoaKernel:
                         force_nonspec.discard(ti)
                     free_slots.append(head)
 
-            # ===== writeback (Processor._stage_complete) =================
+            # ===== writeback =============================================
             events = cring[cycle & rmask]
             if events:
                 for v in events:
@@ -680,6 +733,8 @@ class SoaKernel:
                     if st == _ST_SQUASHED or st == _ST_COMPLETED:
                         continue
                     state_[slot] = _ST_COMPLETED
+                    if tracer is not None:
+                        tracer.record("complete", views_[slot], cycle)
                     ti = tidx_[slot]
                     if tdst[ti] >= 0:
                         n_regw += 1
@@ -706,7 +761,7 @@ class SoaKernel:
                                         seq_[cslot] << pbits | cslot)
                         cons.clear()
                     if isbr_[slot]:
-                        # ---- resolve branch (Processor._resolve_branch) ----
+                        # ---- resolve branch ----
                         mispredicted = pred_resolve(tpc[ti], ttaken[ti], snap_[slot])
                         if ttaken[ti]:
                             btb_install(tpc[ti], ttarget[ti])
@@ -715,12 +770,12 @@ class SoaKernel:
                             self.resume_cycle = cycle + self.branch_penalty
                             if mispredicted:
                                 n_mispredicts += 1
-                                scheme.on_recovery(seq_[slot])
+                                hook_recovery(seq_[slot])
                             else:
                                 n_misfetches += 1
                 events.clear()
 
-            # ===== issue (Processor._stage_issue) ========================
+            # ===== issue =================================================
             rev = rring[cycle & rmask]
             if ready or rev:
                 if rev:
@@ -734,8 +789,7 @@ class SoaKernel:
                     ports_left = ports
                     issued = 0
                     # One small list per non-idle issue cycle; parks
-                    # bandwidth-deferred entries exactly like the object
-                    # path's deferred list.
+                    # bandwidth-deferred entries until the cycle ends.
                     deferred: List[int] = []  # repro: noqa[REPRO005]
                     while ready and issued < width:
                         v = heappop(ready)
@@ -744,10 +798,13 @@ class SoaKernel:
                             continue
                         ti = tidx_[slot]
                         if isld_[slot]:
-                            # ---- _try_issue_load, inlined ----
+                            # ---- load issue ----
                             la = addr_[slot]
                             lseq = seq_[slot]
                             nonspec = bool(force_nonspec) and ti in force_nonspec
+                            # Livelock guard: after repeated replays this
+                            # load waits until every older store has
+                            # resolved (it then issues as a safe load).
                             if nonspec and self.sq_unresolved:
                                 rring[(cycle + 1) & rmask].append(v)
                             elif storesets is not None and storesets.blocking_store(
@@ -788,17 +845,21 @@ class SoaKernel:
                                                 lseq, la, l_end)
                                 if action == SOA_REJECT:
                                     n_rejections += 1
+                                    if tracer is not None:
+                                        tracer.record("reject", views_[slot], cycle)
                                     rring[(cycle + reject_delay) & rmask].append(v)
                                     issued += 1  # consumed bandwidth
                                 else:
                                     state_[slot] = _ST_ISSUED
                                     icyc_[slot] = cycle
+                                    if tracer is not None:
+                                        tracer.record("issue", views_[slot], cycle)
                                     g = la >> 3
                                     gend = (l_end - 1) >> 3
                                     while g <= gend:
                                         lqg[g] = lqg.get(g, 0) + 1
                                         g += 1
-                                    # _free_iq_entry: un-issued => still in IQ
+                                    # Un-issued => still holds its IQ entry.
                                     if fp_[slot]:
                                         self.iq_fp -= 1
                                     else:
@@ -811,6 +872,8 @@ class SoaKernel:
                                         n_safe_at_issue += 1
                                     # WrongPath.observe_address (bounded deque)
                                     wp_addrs.append(la)
+                                    if inv_enabled:
+                                        inv_observe(la)
                                     if action == SOA_FORWARD:
                                         fwdseq_[slot] = seq_[fwd_slot]
                                         n_forwarded += 1
@@ -822,7 +885,17 @@ class SoaKernel:
                                         latency = 1 + mem_read(la)
                                     cring[(cycle + latency) & rmask].append(v)
                                     if has_load_hook:
-                                        hook_load(slot)
+                                        victim = hook_load(slot, cycle)
+                                        if victim >= 0 and state_[victim] != _ST_SQUASHED:
+                                            n_replays += 1
+                                            n_replays_coh += 1
+                                            if tracer is not None:
+                                                tracer.record("replay", views_[victim], cycle)
+                                            if obs is not None:
+                                                obs.replay(view(victim), "coherence", cycle)
+                                            self.cycle = cycle
+                                            self._squash_from(victim)
+                                            squashed_this_cycle = True
                                     issued += 1
                             if squashed_this_cycle:
                                 break
@@ -831,12 +904,14 @@ class SoaKernel:
                                 deferred.append(v)
                                 continue
                             fu_avail[0] -= 1
-                            # ---- _issue_store, inlined ----
+                            # ---- store issue: the address resolves now ----
                             state_[slot] = _ST_ISSUED
                             icyc_[slot] = cycle
                             rcyc_[slot] = cycle
+                            if tracer is not None:
+                                tracer.record("issue", views_[slot], cycle)
                             self.sq_unresolved -= 1
-                            if fp_[slot]:  # _free_iq_entry
+                            if fp_[slot]:  # release the IQ entry
                                 self.iq_fp -= 1
                             else:
                                 self.iq_int -= 1
@@ -860,30 +935,18 @@ class SoaKernel:
                             while g <= gend and g not in lqg:
                                 g += 1
                             if g <= gend:
-                                for lslot in lq:
-                                    if seq_[lslot] > sseq and icyc_[lslot] >= 0:
-                                        la2 = addr_[lslot]
-                                        l_end2 = la2 + size_[lslot]
-                                        if (sa < l_end2 and la2 < s_end
-                                                and state_[lslot] != _ST_COMMITTED
-                                                and tvs_[lslot] < 0):
-                                            fs = fwdseq_[lslot]
-                                            if fs > sseq:
-                                                fwd = sq_by_seq.get(fs)
-                                                if (fwd is not None
-                                                        and addr_[fwd] <= la2
-                                                        and l_end2 <= addr_[fwd] + size_[fwd]):
-                                                    continue
-                                            tvs_[lslot] = sseq
-                                            tvpc_[lslot] = tpc[ti]
-                                            self.n_gt_violations += 1
+                                gt_check(slot)
                             if pdata_[slot] == 0:
                                 cring[(cycle + 1) & rmask].append(v)
                             if has_store_hook:
-                                victim = hook_store(slot)
+                                victim = hook_store(slot, cycle)
                                 if victim >= 0 and state_[victim] != _ST_SQUASHED:
                                     n_replays += 1
                                     n_replays_exec += 1
+                                    if tracer is not None:
+                                        tracer.record("replay", views_[victim], cycle)
+                                    if obs is not None:
+                                        obs.replay(view(victim), "execution", cycle)
                                     self.cycle = cycle
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
@@ -896,10 +959,12 @@ class SoaKernel:
                                 deferred.append(v)
                                 continue
                             fu_avail[pool] -= 1
-                            # ---- _issue_alu, inlined ----
+                            # ---- ALU issue ----
                             state_[slot] = _ST_ISSUED
                             icyc_[slot] = cycle
-                            if fp_[slot]:  # _free_iq_entry
+                            if tracer is not None:
+                                tracer.record("issue", views_[slot], cycle)
+                            if fp_[slot]:  # release the IQ entry
                                 self.iq_fp -= 1
                             else:
                                 self.iq_int -= 1
@@ -911,7 +976,7 @@ class SoaKernel:
                     for v in deferred:
                         heappush(ready, v)
 
-            # ===== dispatch (Processor._stage_dispatch) ==================
+            # ===== dispatch (rename + allocate) ==========================
             if fetch_buf and cycle >= fcyc_[fetch_buf[0]] + decode_latency:
                 dispatched = 0
                 while fetch_buf and dispatched < width:
@@ -946,6 +1011,10 @@ class SoaKernel:
                         regs.free -= 1
                         regs.allocations += 1
                     fetch_buf.popleft()
+                    if tracer is not None:
+                        vw = views_[slot]
+                        vw.dispatch_cycle = cycle
+                        tracer.record("dispatch", vw, cycle)
                     rob.append(slot)
                     sseq = seq_[slot]
                     enc = sseq << pbits | slot
@@ -991,7 +1060,7 @@ class SoaKernel:
                     n_rename += dispatched
                     n_rob_writes += dispatched
 
-            # ===== fetch (Processor._stage_fetch) ========================
+            # ===== fetch =================================================
             if self.blocked_branch != -1 or cycle < self.resume_cycle:
                 n_fetch_stall += 1
             elif len(fetch_buf) < fetch_cap and self.fetch_idx < trace_len:
@@ -1011,7 +1080,7 @@ class SoaKernel:
                             self.resume_cycle = cycle + lat
                             n_icache_miss += 1
                             break
-                    # ---- allocate + initialise a slot (DynInstr.__init__)
+                    # ---- allocate + initialise a slot ----
                     slot = free_slots.pop()
                     seq_[slot] = nseq
                     tidx_[slot] = ti
@@ -1032,6 +1101,9 @@ class SoaKernel:
                     c = cons_[slot]
                     if c:
                         c.clear()
+                    if tracer is not None:
+                        vw = views_[slot] = DynInstr(ops[ti], ti, nseq, tfp[ti])
+                        tracer.record("fetch", vw, cycle)
                     fetch_buf.append(slot)
                     nseq += 1
                     fetch_idx += 1
@@ -1044,9 +1116,8 @@ class SoaKernel:
                             # Mispredict: fetch stalls until resolution;
                             # wrong-path loads corrupt the filters now.
                             self.blocked_branch = seq_[slot] << pbits | slot
-                            for age, wa in self.wrongpath.loads_for_mispredict(
-                                    seq_[slot]):
-                                scheme.on_wrongpath_load(age, wa)
+                            for age, wa in wp_loads(seq_[slot]):
+                                hook_wrongpath(age, wa)
                             break
                         if predicted_taken and btb_lookup(tpc[ti]) is None:
                             n_misfetches += 1
@@ -1060,7 +1131,18 @@ class SoaKernel:
                 if fetched:
                     n_fetch += fetched
 
+            # ===== coherence traffic injection ===========================
+            if inv_enabled:
+                line = inv_draw()
+                if line is not None:
+                    n_inv += 1
+                    mem_invalidate(line)
+                    hook_invalidation(line, line_bytes, cycle,
+                                      seq_[rob[0]] if rob else self.next_seq)
+
             cycle += 1
+            if on_cycle is not None:
+                on_cycle(cycle)
             if cycle > max_cycles:
                 self.cycle = cycle
                 self.committed = committed
@@ -1076,6 +1158,8 @@ class SoaKernel:
         hot.replays += n_replays
         hot.replays_commit_time += n_replays_commit
         hot.replays_execution_time += n_replays_exec
+        hot.replays_coherence += n_replays_coh
+        hot.inv_injected += n_inv
         hot.commit_instructions += n_commit
         hot.commit_loads += n_commit_loads
         hot.commit_safe_loads += n_commit_safe
@@ -1114,30 +1198,74 @@ class SoaKernel:
         hot.bpred_lookups += n_bpred
         hot.squash_instructions += self.n_squash
         hot.replay_guard_trips += self.n_guard_trips
-        p.sq.searches += n_sq_search
-        p.sq.searches_filtered += n_sq_filtered
+        self.sq_searches += n_sq_search
+        self.sq_searches_filtered += n_sq_filtered
         hooks.fold()
 
     def _sync(self, cycle: int, committed: int, checking_cycles: int,
               ff_cycles: int) -> None:
-        """Write the kernel's scalar cursors back onto the processor."""
+        """Write the kernel's cycle/commit tallies back onto the processor."""
         p = self.p
         p.cycle = cycle
         p.committed = committed
-        p.next_seq = self.next_seq
-        p.fetch_idx = self.fetch_idx
-        p.fetch_resume_cycle = self.resume_cycle
-        p._last_fetch_line = self.last_line
         p._checking_cycles += checking_cycles
         p.fast_forwarded_cycles += ff_cycles
         self.cycle = cycle
         self.committed = committed
 
+    def release(self) -> None:
+        """Drop the back-references of a finished run.
+
+        The kernel, its hook set and its processor reference each other;
+        cutting the cycle lets reference counting free a finished run at
+        once (trace columns, views, observers) instead of leaving it to
+        the cyclic collector.  The queues and slot columns stay for
+        inspection.
+        """
+        self.hooks = None
+        self.p = None
+
     # ------------------------------------------------------------------
-    # Squash / replay (cold path)
+    # Ground truth and squash / replay (cold paths)
     # ------------------------------------------------------------------
+    def _ground_truth_store_resolve(self, slot: int) -> None:
+        """Flag younger loads that truly issued prematurely past store ``slot``.
+
+        The simulator-side checker behind ``OrderingViolationMissed`` and
+        DMDC's replay taxonomy.  A load is exempt when it forwarded from a
+        store *younger* than this one that fully covered it (its data
+        cannot be stale).  The issue stage calls this only when the store's
+        bytes share a granule with some issued in-flight load.
+        """
+        seq_ = self.seq
+        addr_ = self.addr
+        size_ = self.size
+        icyc_ = self.icyc
+        tvs_ = self.tvs
+        sq_by_seq = self.sq_by_seq
+        sseq = seq_[slot]
+        sa = addr_[slot]
+        s_end = sa + size_[slot]
+        for lslot in self.lq:
+            if seq_[lslot] > sseq and icyc_[lslot] >= 0:
+                la = addr_[lslot]
+                l_end = la + size_[lslot]
+                if (sa < l_end and la < s_end
+                        and self.state[lslot] != _ST_COMMITTED
+                        and tvs_[lslot] < 0):
+                    fs = self.fwdseq[lslot]
+                    if fs > sseq:
+                        fwd = sq_by_seq.get(fs)
+                        if (fwd is not None and addr_[fwd] <= la
+                                and l_end <= addr_[fwd] + size_[fwd]):
+                            continue
+                    tvs_[lslot] = sseq
+                    self.tvpc[lslot] = self.t.pc[self.tidx[slot]]
+                    self.n_gt_violations += 1
+
     def _squash_from(self, slot: int) -> None:
-        """Transcription of ``Processor._squash_from`` over slot arrays."""
+        """Squash ``slot`` and everything younger; refetch from its trace
+        position after the replay penalty."""
         seq_ = self.seq
         state_ = self.state
         tidx_ = self.tidx
@@ -1160,13 +1288,12 @@ class SoaKernel:
         # survivor (the deques are seq-ascending by construction, and a
         # squash only ever removes a suffix).
         rob = self.rob
-        # One small list per squash (a mispredict-rate event, not
-        # per-cycle); collecting then reversing preserves the object
-        # path's oldest-first victim order.
+        # One small list per squash (a replay-rate event, not per-cycle);
+        # collecting then reversing yields oldest-first victim order.
         victims = []  # repro: noqa[REPRO005]
         while rob and seq_[rob[-1]] >= boundary:
             victims.append(rob.pop())
-        victims.reverse()  # process oldest-first, like the object path
+        victims.reverse()
         hooks = self.hooks
         collect_loads = hooks.wants_squashed_loads
         squashed_load_addrs: List[int] = []  # repro: noqa[REPRO005]
@@ -1174,9 +1301,11 @@ class SoaKernel:
         regs_fp = self.regs_fp
         isld_ = self.isld
         icyc_ = self.icyc
-        fp_ = self.fp
-        for victim in victims:  # oldest-first, like the object path
+        tracer = self.tracer
+        for victim in victims:
             state_[victim] = _ST_SQUASHED
+            if tracer is not None:
+                tracer.record("squash", self.views[victim], cycle)
             self._free_iq_if_held(victim)
             dst = tdst[tidx_[victim]]
             if dst >= 0:
@@ -1244,8 +1373,8 @@ class SoaKernel:
             self.n_guard_trips += 1
 
     def _free_iq_if_held(self, slot: int) -> None:
-        """``Processor._free_iq_entry``: issue released the entry already,
-        so only un-issued victims still hold one."""
+        """Release ``slot``'s issue-queue entry: issue released it
+        already, so only un-issued victims still hold one."""
         if self.icyc[slot] < 0:
             if self.fp[slot]:
                 self.iq_fp -= 1

@@ -1,7 +1,10 @@
 """Shared fixtures and trace-building helpers for the test suite."""
 
+from collections import deque
+
 import pytest
 
+from repro.backend.dyninst import DynInstr
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import InstrClass
 from repro.isa.trace import Trace
@@ -58,6 +61,104 @@ class TraceBuilder:
 
     def build(self) -> Trace:
         return self.trace
+
+
+class ColumnTable:
+    """The cycle kernel's slot columns, filled by hand.
+
+    A scheme's hook set (``scheme.soa_hooks(table)``) reads exactly these
+    columns, queues and tallies from the kernel, so unit tests can drive
+    hooks with crafted loads and stores and no pipeline around them.
+    Every ``load``/``store``/``alu`` call takes the next free slot; queue
+    membership (``lq``, ``sq``, ``rob``) is left to the test.
+    """
+
+    def __init__(self, pool: int = 64, line_bytes: int = 128):
+        self.seq = [-1] * pool
+        self.tidx = [0] * pool
+        self.state = [0] * pool
+        self.addr = [0] * pool
+        self.size = [0] * pool
+        self.icyc = [-1] * pool
+        self.rcyc = [-1] * pool
+        self.isld = [False] * pool
+        self.isst = [False] * pool
+        self.fp = [False] * pool
+        self.safe = [False] * pool
+        self.gbp = [False] * pool
+        self.unsafe = [False] * pool
+        self.wend = [-1] * pool
+        self.tvs = [-1] * pool
+        self.fwdseq = [-1] * pool
+        self.pdata = [0] * pool
+        self.rob: deque = deque()
+        self.lq: deque = deque()
+        self.sq: deque = deque()
+        self.line_bytes = line_bytes
+        self.lq_searches = 0
+        self.lq_searches_filtered = 0
+        self.lq_inv_searches = 0
+        self.ops = []
+
+    def _slot(self, uop: MicroOp, seq: int) -> int:
+        slot = len(self.ops)
+        self.ops.append(uop)
+        self.tidx[slot] = slot
+        self.seq[slot] = seq
+        self.isld[slot] = uop.is_load
+        self.isst[slot] = uop.is_store
+        if uop.mem_addr is not None:
+            self.addr[slot] = uop.mem_addr
+            self.size[slot] = uop.mem_size
+        return slot
+
+    def load(self, seq, addr, size=8, issue_cycle=1, safe=False) -> int:
+        """A load slot; ``issue_cycle=-1`` leaves it un-issued."""
+        slot = self._slot(MicroOp(0x200, InstrClass.LOAD, mem_addr=addr,
+                                  mem_size=size, dst=2), seq)
+        self.icyc[slot] = issue_cycle
+        self.safe[slot] = safe
+        return slot
+
+    def store(self, seq, addr, size=8, resolve_cycle=-1) -> int:
+        """A store slot; ``resolve_cycle`` >= 0 marks its address resolved."""
+        slot = self._slot(MicroOp(0x100, InstrClass.STORE, mem_addr=addr,
+                                  mem_size=size, data_src=1), seq)
+        self.icyc[slot] = self.rcyc[slot] = resolve_cycle
+        return slot
+
+    def alu(self, seq) -> int:
+        return self._slot(MicroOp(0x300, InstrClass.IALU, srcs=(28,), dst=3), seq)
+
+    def view(self, slot) -> DynInstr:
+        ti = self.tidx[slot]
+        return DynInstr(self.ops[ti], ti, self.seq[slot], self.fp[slot])
+
+
+class _Paused(Exception):
+    """Raised from the per-cycle callback to stop a run mid-flight."""
+
+
+def run_until(proc, predicate, max_instructions=None):
+    """Run ``proc`` until ``predicate(kernel)`` holds at a cycle boundary.
+
+    Returns the kernel, frozen at that cycle with its structural state
+    (queues, slots, rename map, IQ counts) intact for inspection.  Fails
+    the test if the run ends without the predicate ever holding.
+    """
+    def check(cycle):
+        if predicate(proc.kernel):
+            raise _Paused
+
+    budget = len(proc.trace) if max_instructions is None else max_instructions
+    with pytest.raises(_Paused):
+        proc.run(budget, on_cycle=check)
+    return proc.kernel
+
+
+@pytest.fixture
+def table():
+    return ColumnTable()
 
 
 @pytest.fixture(autouse=True)

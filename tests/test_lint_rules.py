@@ -95,15 +95,13 @@ class TestSetIteration:
 
 class TestHotPathCounters:
     def test_bump_in_hot_function(self):
-        src = ("class StoreQueue:\n"
-               "    def search_for_forwarding(self, load):\n"
-               "        self.stats.bump('sq.searches')\n")
+        src = ("def sq_forward_search_soa(stats):\n"
+               "    stats.bump('sq.searches')\n")
         assert ids(lint_source(src, path=HOT)) == ["REPRO004"]
 
     def test_bump_in_cold_function_ok(self):
-        src = ("class StoreQueue:\n"
-               "    def drain(self):\n"
-               "        self.stats.bump('sq.drains')\n")
+        src = ("def drain(stats):\n"
+               "    stats.bump('sq.drains')\n")
         assert lint_source(src, path=HOT) == []
 
     def test_bump_in_unlisted_file_ok(self):
@@ -121,21 +119,18 @@ class TestHotPathAllocation:
         ("tmp = sorted(self.entries, key=lambda e: e.seq)", "lambda"),
     ])
     def test_allocation_flavours(self, body, label):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
-               f"        {body}\n")
+        src = ("def lq_violation_search_soa(self):\n"
+               f"    {body}\n")
         assert ids(lint_source(src, path=HOT)) == ["REPRO005"], label
 
     def test_fixed_display_ok(self):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
-               "        return (None, 0)\n")
+        src = ("def lq_violation_search_soa(self):\n"
+               "    return (None, 0)\n")
         assert lint_source(src, path=HOT) == []
 
     def test_noqa_with_justification(self):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
-               "        tmp = []  # repro: noqa[REPRO005]\n")
+        src = ("def lq_violation_search_soa(self):\n"
+               "    tmp = []  # repro: noqa[REPRO005]\n")
         assert lint_source(src, path=HOT) == []
 
 
@@ -225,6 +220,30 @@ class TestSchemeProtocol:
                "        pass\n")
         assert lint_source(src, path=SCHEMES) == []
 
+    def test_misspelled_hook_on_hook_set(self):
+        src = ("class _MyHooks(SoaHooks):\n"
+               "    def on_comit_load(self, slot):\n"
+               "        return False\n")
+        violations = lint_source(src, path=SCHEMES)
+        assert ids(violations) == ["REPRO007"]
+        assert "typo" in violations[0].message
+
+    def test_hook_set_wrong_arity(self):
+        src = ("class _MyHooks(SoaHooks):\n"
+               "    def on_store_resolve(self, slot):\n"
+               "        return -1\n")
+        assert ids(lint_source(src, path=SCHEMES)) == ["REPRO007"]
+
+    def test_conforming_hook_set_clean(self):
+        src = ("class _MyHooks(SoaHooks):\n"
+               "    def on_load_issue(self, slot, cycle):\n"
+               "        return -1\n"
+               "    def on_commit_load(self, slot):\n"
+               "        return False\n"
+               "    def fold(self):\n"
+               "        pass\n")
+        assert lint_source(src, path=SCHEMES) == []
+
     def test_outside_schemes_dir_ignored(self):
         src = ("class MyScheme(CheckScheme):\n"
                "    def on_comit(self, instr, cycle):\n"
@@ -293,3 +312,19 @@ class TestEngine:
 def test_repository_lints_clean():
     """Acceptance criterion: ``repro check --static`` exits clean on src/."""
     assert lint_paths(["src"]) == []
+
+
+def test_hot_function_table_names_existing_functions():
+    """A stale ``HOT_FUNCTIONS`` entry silently takes its function out of
+    REPRO004/REPRO005; every listed qualname must exist in its file."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.analysis.lint.rules import HOT_FUNCTIONS, _qualname_index
+
+    src = Path(repro.__file__).resolve().parent.parent
+    for suffix, names in HOT_FUNCTIONS.items():
+        tree = ast.parse((src / suffix).read_text())
+        defined = {name for name, _ in _qualname_index(tree)}
+        assert names <= defined, f"{suffix}: stale entries {sorted(names - defined)}"

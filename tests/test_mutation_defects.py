@@ -16,6 +16,7 @@ from repro.errors import SanitizerError
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
+from repro.sim.soa import SoaKernel
 from tests.conftest import TraceBuilder
 
 
@@ -32,8 +33,8 @@ def violation_trace(n_fill=30):
 def _blind_builtin_checker(monkeypatch):
     """Disable the simulator's own ground-truth violation bookkeeping, so
     only the shadow oracle can catch a premature retirement."""
-    monkeypatch.setattr(Processor, "_ground_truth_store_resolve",
-                        lambda self, store: None)
+    monkeypatch.setattr(SoaKernel, "_ground_truth_store_resolve",
+                        lambda self, slot: None)
 
 
 def _sanitized_run(config, trace):

@@ -33,18 +33,14 @@ class TestBasicExecution:
         assert result.counters["commit.stores"] == 1
         assert result.counters["commit.loads"] == 1
 
-    def test_progress_guard_raises(self, builder, tiny_config, monkeypatch):
-        # Breaking an object-path stage method requires the object loop:
-        # the SoA kernel never calls it (its guard is pinned separately in
-        # test_soa_equivalence.py).
-        from repro.sim.soa import NO_SOA_ENV
-
-        monkeypatch.setenv(NO_SOA_ENV, "1")
-        trace = builder.fill(10).build()
+    def test_second_run_raises(self, builder, tiny_config):
+        # A processor runs once; a second run must not continue from the
+        # state the first one left behind.
+        trace = builder.fill(20).build()
         proc = Processor(tiny_config, trace)
-        proc._stage_fetch = lambda: None  # break the pipeline on purpose
-        with pytest.raises(SimulationError, match="no forward progress"):
-            proc.run(10, max_cycles=500)
+        proc.run(10)
+        with pytest.raises(SimulationError, match="run called twice"):
+            proc.run(10)
 
     def test_budget_respected(self, builder, tiny_config):
         trace = builder.fill(100).build()

@@ -7,7 +7,7 @@ from repro.sim.config import small_config
 from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
-from tests.conftest import TraceBuilder
+from tests.conftest import TraceBuilder, run_until
 
 
 def traced(trace, config):
@@ -100,14 +100,10 @@ class TestIssueQueueRouting:
         b.fill(6)
         proc = Processor(config, b.build())
         proc.prewarm()  # skip cold I-cache misses
-        loads = []
-        for _ in range(200):
-            proc.step()
-            loads = [e for e in proc.rob if e.is_load]
-            if len(loads) == 2:
-                break
+        k = run_until(proc, lambda k: sum(k.isld[slot] for slot in k.rob) == 2)
+        loads = [slot for slot in k.rob if k.isld[slot]]
         assert len(loads) == 2
-        assert sorted(e.fp_side for e in loads) == [False, True]
+        assert sorted(k.fp[slot] for slot in loads) == [False, True]
 
 
 class TestFetchBehaviour:

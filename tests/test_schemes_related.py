@@ -2,32 +2,23 @@
 
 import pytest
 
-from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CommitDecision
 from repro.core.schemes.garg import AgeHashTable, GargAgeHashScheme
 from repro.core.schemes.value import ValueBasedScheme
-from repro.errors import ConfigError, SimulationError
-from repro.isa.instruction import MicroOp
-from repro.isa.opcodes import InstrClass
+from repro.errors import ConfigError
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.runner import run_trace
-from repro.utils.ring import RingBuffer
 from repro.workloads import SyntheticWorkload, WorkloadSpec
+from tests.conftest import ColumnTable
 
 
-def mk_load(seq, addr, issued=True):
-    d = DynInstr(MicroOp(0x200, InstrClass.LOAD, mem_addr=addr, mem_size=8, dst=2),
-                 seq, seq, False)
-    if issued:
-        d.issue_cycle = 1
-    return d
+def bind(scheme):
+    """``(hooks, table)`` for driving ``scheme`` without a pipeline."""
+    table = ColumnTable()
+    return scheme.soa_hooks(table), table
 
 
-def mk_store(seq, addr):
-    d = DynInstr(MicroOp(0x100, InstrClass.STORE, mem_addr=addr, mem_size=8,
-                         data_src=1), seq, seq, False)
-    d.resolve_cycle = 1
-    return d
+def store(k, seq, addr):
+    return k.store(seq, addr, resolve_cycle=1)
 
 
 class TestAgeHashTable:
@@ -59,76 +50,73 @@ class TestAgeHashTable:
 
 
 class TestGargScheme:
-    def _scheme_with_rob(self, entries=256):
-        scheme = GargAgeHashScheme(table_entries=entries)
-        rob = RingBuffer(32)
-        scheme.attach_rob(rob)
-        return scheme, rob
-
-    def test_requires_rob(self):
-        with pytest.raises(SimulationError):
-            GargAgeHashScheme().on_store_resolve(mk_store(1, 0), 0)
-
     def test_safe_store_passes(self):
-        s, rob = self._scheme_with_rob()
-        s.on_load_issue(mk_load(3, 0x100), 0)
-        assert s.on_store_resolve(mk_store(5, 0x100), 0) is None
+        s = GargAgeHashScheme(table_entries=256)
+        h, k = bind(s)
+        h.on_load_issue(k.load(3, 0x100), 0)
+        assert h.on_store_resolve(store(k, 5, 0x100), 0) == -1
         assert s.stats["stores.safe"] == 1
 
     def test_premature_load_triggers_flush_from_store(self):
-        s, rob = self._scheme_with_rob()
-        store = mk_store(5, 0x100)
-        younger = mk_load(9, 0x100)
-        rob.push(store)
-        rob.push(younger)
-        s.on_load_issue(younger, 0)
-        victim = s.on_store_resolve(store, 0)
-        assert victim is younger  # first ROB entry younger than the store
+        s = GargAgeHashScheme(table_entries=256)
+        h, k = bind(s)
+        st = store(k, 5, 0x100)
+        younger = k.load(9, 0x100)
+        k.rob.extend((st, younger))
+        h.on_load_issue(younger, 0)
+        victim = h.on_store_resolve(st, 0)
+        assert victim == younger  # first ROB entry younger than the store
         assert s.stats["replay.execution_time"] == 1
 
     def test_hash_alias_causes_false_flush(self):
-        s, rob = self._scheme_with_rob(entries=16)
-        store = mk_store(5, 0x100)
+        s = GargAgeHashScheme(table_entries=16)
+        h, k = bind(s)
+        st = store(k, 5, 0x100)
         alias = next(q * 8 for q in range(1 << 12)
                      if q * 8 != 0x100 and s.table.index(q * 8) == s.table.index(0x100))
-        innocent = mk_load(9, alias)
-        rob.push(store)
-        rob.push(innocent)
-        s.on_load_issue(innocent, 0)
-        assert s.on_store_resolve(store, 0) is innocent
+        innocent = k.load(9, alias)
+        k.rob.extend((st, innocent))
+        h.on_load_issue(innocent, 0)
+        assert h.on_store_resolve(st, 0) == innocent
         assert s.stats["replay.false"] == 1
 
     def test_stale_entry_with_empty_rob_is_harmless(self):
-        s, rob = self._scheme_with_rob()
-        s.on_load_issue(mk_load(9, 0x100), 0)
-        assert s.on_store_resolve(mk_store(5, 0x100), 0) is None
+        s = GargAgeHashScheme(table_entries=256)
+        h, k = bind(s)
+        h.on_load_issue(k.load(9, 0x100), 0)
+        assert h.on_store_resolve(store(k, 5, 0x100), 0) == -1
         assert s.stats["garg.stale_hits"] == 1
 
     def test_repair_variant_rolls_back(self):
         s = GargAgeHashScheme(repair_on_squash=True)
-        s.attach_rob(RingBuffer(8))
-        s.on_load_issue(mk_load(50, 0x100), 0)
-        s.on_squash(10, [])
+        h, k = bind(s)
+        h.on_load_issue(k.load(50, 0x100), 0)
+        h.on_squash(10, [])
         assert s.table.youngest_for(0x100) <= 10
 
 
 class TestValueScheme:
     def test_clean_load_commits_with_reexecution(self):
         s = ValueBasedScheme()
-        load = mk_load(5, 0x100)
-        assert s.on_commit(load, 1) == CommitDecision.OK
+        h, k = bind(s)
+        assert h.on_commit_load(k.load(5, 0x100)) is False
         assert s.stats["value.reexecutions"] == 1
 
     def test_violated_load_replays(self):
         s = ValueBasedScheme()
-        load = mk_load(5, 0x100)
-        load.true_violation_store = 2
-        assert s.on_commit(load, 1) == CommitDecision.REPLAY
+        h, k = bind(s)
+        load = k.load(5, 0x100)
+        k.tvs[load] = 2
+        assert h.on_commit_load(load) is True
         assert s.stats["replay.true"] == 1
 
     def test_non_loads_ignored(self):
+        """The value scheme's hook set asks for load commits only, so a
+        committing store never reaches it."""
         s = ValueBasedScheme()
-        assert s.on_commit(mk_store(5, 0x100), 1) == CommitDecision.OK
+        h, k = bind(s)
+        assert h.commit_mode == 1
+        assert h.on_commit(store(k, 5, 0x100), 1) is False
         assert s.stats["value.reexecutions"] == 0
 
 

@@ -1,18 +1,15 @@
-"""Bit-exact equivalence of the SoA cycle kernel vs the object pipeline.
+"""The cycle kernel against the frozen golden results.
 
-The structure-of-arrays kernel (:class:`repro.sim.soa.SoaKernel`) fuses
-every pipeline stage into one loop over preallocated slot arrays.  It must
-be behaviourally invisible: for every scheme family and workload, a run
-through the kernel must produce a ``to_dict()`` payload bit-identical to
-the object path forced via ``REPRO_NO_SOA=1`` — same cycles, same
-counters, same histograms.  The scheme matrix is shared with the
-sanitizer sweep and the fast-path suite so all three correctness nets
-cover the same nine points.
-
-Observability seams (tracer, hooks, obs recorders) intentionally force
-the object path; those runs must *still* match the kernel's results, so
-the honest slow path and the kernel can never drift apart unnoticed.
+The kernel once had an object-path twin it was checked against bit for
+bit; ``tests/golden/kernel_golden.json`` froze that twin's ``to_dict()``
+payloads for the full scheme matrix x two workloads before the twin was
+deleted.  Every cell must still reproduce its frozen payload exactly —
+same cycles, same counters, same histograms.  The scheme matrix is shared
+with the sanitizer sweep and the fast-path suite so all three correctness
+nets cover the same nine points.
 """
+
+import json
 
 import pytest
 
@@ -21,10 +18,8 @@ from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
-from repro.sim.soa import NO_SOA_ENV
 from repro.workloads import get_workload
-
-BUDGET = 2_500
+from tests.test_kernel_golden import GOLDEN, RESULT_BUDGET as BUDGET
 
 WORKLOADS = ("gzip", "mcf")
 
@@ -37,73 +32,34 @@ def _trace(name):
     return _TRACES[name]
 
 
+@pytest.fixture(scope="module")
+def golden_results():
+    return json.loads(GOLDEN.read_text())["results"]
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("scheme_label", sorted(SCHEMES))
-def test_soa_bit_identical(monkeypatch, workload, scheme_label):
+def test_soa_bit_identical(golden_results, workload, scheme_label):
     config = CONFIG2.with_scheme(SCHEMES[scheme_label])
-    trace = _trace(workload)
-
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
-    soa = run_trace(config, trace, max_instructions=BUDGET, seed=1)
-
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    obj = run_trace(config, trace, max_instructions=BUDGET, seed=1)
-
-    assert soa.to_dict() == obj.to_dict()
+    result = run_trace(config, _trace(workload), max_instructions=BUDGET, seed=1)
+    live = json.loads(json.dumps(result.to_dict(), sort_keys=True))
+    assert live == golden_results[f"{scheme_label}/{workload}"]
 
 
-def test_soa_kernel_actually_engaged(monkeypatch):
-    """Non-vacuousness: a plain run must actually take the kernel (else
-    every equivalence assertion above compares the object path to
-    itself)."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_soa_kernel_actually_engaged():
+    """A plain run builds and keeps its kernel (the one loop there is)."""
     proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="dmdc")),
                      _trace("gzip"), seed=1)
     proc.prewarm()
-    proc.run(BUDGET)
+    result = proc.run(BUDGET)
     assert proc.kernel_used == "soa"
+    assert proc.kernel is not None and proc.kernel.committed == result.committed
 
 
-def test_no_soa_env_forces_object_path(monkeypatch):
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="dmdc")),
-                     _trace("gzip"), seed=1)
-    proc.prewarm()
-    proc.run(BUDGET)
-    assert proc.kernel_used == "object"
-
-
-def test_attached_hook_forces_object_path_with_identical_results(monkeypatch):
-    """A hook (here: the shadow-oracle sanitizer) needs the per-object
-    slow path; the processor must fall back — and the fallback must agree
-    with the kernel bit for bit."""
-    from repro.analysis.sanitizer import attach_sanitizer
-
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
-    config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
-    trace = _trace("mcf")
-
-    kernel_proc = Processor(config, trace, seed=1)
-    kernel_proc.prewarm()
-    kernel_result = kernel_proc.run(BUDGET)
-    assert kernel_proc.kernel_used == "soa"
-
-    hooked_proc = Processor(config, trace, seed=1)
-    attach_sanitizer(hooked_proc)
-    hooked_proc.prewarm()
-    hooked_result = hooked_proc.run(BUDGET)
-    assert hooked_proc.kernel_used == "object"
-
-    assert kernel_result.to_dict() == hooked_result.to_dict()
-
-
-def test_soa_progress_guard_raises(monkeypatch):
-    """The kernel carries the same livelock guard as ``Processor.step``
-    (pinned here because the object-path variant in
-    ``test_processor_basic`` pins only the slow loop)."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_soa_progress_guard_raises():
+    """The kernel's livelock guard: no forward progress within
+    ``max_cycles`` raises rather than spinning."""
     proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="conventional")),
                      _trace("gzip"), seed=1)
     with pytest.raises(SimulationError, match="no forward progress"):
         proc.run(BUDGET, max_cycles=20)
-    assert proc.kernel_used == "soa"

@@ -7,22 +7,20 @@ from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
 from repro.sim.validate import check_invariants, run_with_validation
 from repro.workloads import SyntheticWorkload, WorkloadSpec, get_workload
+from tests.conftest import run_until
 
 
 class TestCheckerCatchesCorruption:
     def _warm_proc(self):
         proc = Processor(small_config(), get_workload("gzip").generate(300))
-        for _ in range(500):
-            proc.step()
-            if len(proc.rob) > 4:
-                break
-        assert len(proc.rob) > 4
+        k = run_until(proc, lambda k: len(k.rob) > 4)
+        assert len(k.rob) > 4
         check_invariants(proc)  # healthy first
         return proc
 
     def test_detects_iq_drift(self):
         proc = self._warm_proc()
-        proc.iq_int_count += 1
+        proc.kernel.iq_int += 1
         with pytest.raises(SimulationError, match="IQ"):
             check_invariants(proc)
 
@@ -34,22 +32,28 @@ class TestCheckerCatchesCorruption:
 
     def test_detects_rename_corruption(self):
         proc = self._warm_proc()
-        victim = next(e for e in proc.rob if e.uop.dst is not None)
-        older = Processor(small_config(), get_workload("gzip").generate(10))
-        proc.rename[victim.uop.dst] = proc.rob.head()
+        k = proc.kernel
+
+        def enc(slot):
+            return k.seq[slot] << k.pbits | slot
+
+        dst = k.t.dst
+        victim = next(slot for slot in k.rob if dst[k.tidx[slot]] >= 0)
+        k.rename[dst[k.tidx[victim]]] = enc(k.rob[0])
         try:
             check_invariants(proc)
         except SimulationError:
             return
         # If head happened to be the youngest writer, corrupt differently.
-        proc.rename[63] = victim
+        k.rename[63] = enc(victim)
         with pytest.raises(SimulationError):
             check_invariants(proc)
 
     def test_detects_age_disorder(self):
         proc = self._warm_proc()
-        if len(proc.rob) >= 2:
-            proc.rob.items[0], proc.rob.items[1] = proc.rob.items[1], proc.rob.items[0]
+        rob = proc.kernel.rob
+        if len(rob) >= 2:
+            rob[0], rob[1] = rob[1], rob[0]
             with pytest.raises(SimulationError, match="age-ordered"):
                 check_invariants(proc)
 
