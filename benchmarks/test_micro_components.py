@@ -8,13 +8,10 @@ they all replace).  They also document simulator throughput.
 
 import pytest
 
-from repro.backend.dyninst import DynInstr
 from repro.core.bloom import CountingBloomFilter
 from repro.core.checking_table import CheckingTable
 from repro.core.yla import YlaFile
-from repro.isa.instruction import MicroOp
-from repro.isa.opcodes import InstrClass
-from repro.lsq.queues import LoadQueue
+from repro.lsq.queues import lq_violation_search_soa
 from repro.sim.config import small_config
 from repro.sim.processor import Processor
 from repro.workloads import get_workload
@@ -59,18 +56,19 @@ def test_bloom_probe(benchmark):
 
 
 def test_lq_associative_search(benchmark):
-    lq = LoadQueue(96)
-    for i, addr in enumerate(ADDRS[:90]):
-        uop = MicroOp(0x100, InstrClass.LOAD, mem_addr=addr, mem_size=8, dst=1)
-        load = DynInstr(uop, i, i, False)
-        load.issue_cycle = 1
-        lq.allocate(load)
-    store_uop = MicroOp(0x200, InstrClass.STORE, mem_addr=ADDRS[45], mem_size=8)
-    store = DynInstr(store_uop, 3, 3, False)
+    # 90 issued loads in slots 0..89 (seq == slot), searched by the store
+    # of age 3 to ADDRS[45]: the kernel's slot-array LQ layout.
+    lq = list(range(90))
+    seq_ = list(range(90))
+    addr_ = ADDRS[:90]
+    size_ = [8] * 90
+    icyc_ = [1] * 90
+    s_addr = ADDRS[45]
 
     def probe():
         for _ in range(64):
-            lq.search_younger_issued(store)
+            lq_violation_search_soa(lq, seq_, addr_, size_, icyc_,
+                                    3, s_addr, s_addr + 8)
 
     benchmark(probe)
 

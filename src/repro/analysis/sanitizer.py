@@ -227,20 +227,12 @@ class _SanitizedHooks(SoaHooks):
 
     # -- commit-time hook --------------------------------------------------
     def _inner_commit(self, slot: int, cycle: int) -> bool:
-        """The inner hook set's commit decision, dispatched as the kernel
-        dispatches it by ``commit_mode``."""
+        """The inner hook set's commit decision, by its ``commit_mode``."""
         inner = self.inner
-        k = self.k
         mode = inner.commit_mode
-        if mode == 2:
-            if inner.scheme.checking_active or (k.isst[slot] and k.unsafe[slot]):
-                return inner.on_commit(slot, cycle)
-            return False
         if mode == 1:
-            return bool(k.isld[slot]) and inner.on_commit_load(slot)
-        if mode == 3:
-            return inner.on_commit(slot, cycle)
-        return False
+            return self.k.isld[slot] and inner.on_commit_load(slot)
+        return mode > 1 and inner.on_commit(slot, cycle)
 
     def on_commit(self, slot: int, cycle: int) -> bool:
         san = self.san

@@ -112,9 +112,10 @@ class SoaHooks:
     Commit dispatch is ``commit_mode``: 0 = the scheme never acts at
     commit (the kernel makes no call per retiring instruction); 1 = only
     loads matter (:meth:`on_commit_load`); 2 = windowed checking — the
-    kernel calls :meth:`on_commit` whenever ``scheme.checking_active`` or
-    the committing instruction is a store flagged unsafe; 3 = every
-    retiring instruction goes to :meth:`on_commit` (observers such as the
+    kernel calls :meth:`on_commit` only while ``scheme.checking_active``
+    or when the committing instruction is a store flagged unsafe, so the
+    hook must do nothing for any other commit; 3 = every retiring
+    instruction goes to :meth:`on_commit` (observers such as the
     sanitizer, which must see each commit).
     """
 
