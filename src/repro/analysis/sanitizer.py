@@ -287,9 +287,6 @@ class _SanitizedHooks(SoaHooks):
         self.inner.on_invalidation(line_addr, line_bytes, cycle,
                                    oldest_inflight_seq)
 
-    def fold(self) -> None:
-        self.inner.fold()
-
 
 def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
                   strict: bool = False, prewarm: bool = True):

@@ -52,7 +52,6 @@ PROTOCOL_HOOKS = {
     "on_recovery": 1,
     "on_squash": 2,
     "on_invalidation": 4,
-    "fold": 0,
 }
 
 
@@ -165,7 +164,3 @@ class SoaHooks:
     def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
                         oldest_inflight_seq: int) -> None:
         """An external invalidation for ``line_addr`` arrived."""
-
-    def fold(self) -> None:
-        """Flush locally batched state back onto the scheme (called once,
-        after the kernel's cycle loop finishes)."""

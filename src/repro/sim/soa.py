@@ -1200,7 +1200,6 @@ class SoaKernel:
         hot.replay_guard_trips += self.n_guard_trips
         self.sq_searches += n_sq_search
         self.sq_searches_filtered += n_sq_filtered
-        hooks.fold()
 
     def _sync(self, cycle: int, committed: int, checking_cycles: int,
               ff_cycles: int) -> None:

@@ -239,9 +239,7 @@ class TestSchemeProtocol:
                "    def on_load_issue(self, slot, cycle):\n"
                "        return -1\n"
                "    def on_commit_load(self, slot):\n"
-               "        return False\n"
-               "    def fold(self):\n"
-               "        pass\n")
+               "        return False\n")
         assert lint_source(src, path=SCHEMES) == []
 
     def test_outside_schemes_dir_ignored(self):
