@@ -54,6 +54,8 @@ _ST_ISSUED = int(InstrState.ISSUED)
 _ST_COMPLETED = int(InstrState.COMPLETED)
 _ST_COMMITTED = int(InstrState.COMMITTED)
 _ST_SQUASHED = int(InstrState.SQUASHED)
+#: State code -> member, for observer views (cheaper than ``InstrState(code)``).
+_STATES = tuple(InstrState)
 
 #: Dispatch-stall cause codes shared by the inline dispatch stage and the
 #: fast-forward probe.
@@ -372,7 +374,7 @@ class SoaKernel:
             ti = self.tidx[slot]
             v = DynInstr(self.ops[ti], ti, self.seq[slot], self.fp[slot])
             self.views[slot] = v
-        v.state = InstrState(self.state[slot])
+        v.state = _STATES[self.state[slot]]
         v.issue_cycle = self.icyc[slot]
         v.resolve_cycle = self.rcyc[slot]
         v.forward_store_seq = self.fwdseq[slot]
