@@ -173,8 +173,7 @@ class _SanitizedHooks(SoaHooks):
     """A scheme's hook set with the sanitizer interposed on every event.
 
     Takes every event the kernel offers (including every commit) and
-    forwards each to the inner hook set exactly as the kernel would have:
-    the same flags gate the same calls.
+    forwards to the inner hook set only the events its flags ask for.
     """
 
     has_load_issue = True
