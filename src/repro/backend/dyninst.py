@@ -62,15 +62,6 @@ class DynInstr:
         self.dispatch_cycle = self.issue_cycle = self.resolve_cycle = -1
         self.forward_store_seq = self.true_violation_store = -1
 
-    @property
-    def resolved(self) -> bool:
-        """A memory op's address is resolved once it has issued through the AGU."""
-        return self.resolve_cycle >= 0
-
-    @property
-    def squashed(self) -> bool:
-        return self.state == InstrState.SQUASHED
-
     def __repr__(self) -> str:
         return (
             f"<DynInstr seq={self.seq} {self.uop.cls.name} state={self.state.name}"

@@ -1,7 +1,6 @@
 """Per-cycle execution resources: functional units and physical registers."""
 
 from repro.errors import ConfigError, SimulationError
-from repro.isa.opcodes import InstrClass
 
 
 class FunctionalUnits:
@@ -10,77 +9,24 @@ class FunctionalUnits:
     Table 1 of the paper: 8 integer ALUs + 2 integer mul/div, 8 FP ALUs +
     2 FP mul/div.  Loads, stores and branches consume an integer-ALU slot
     (address generation / condition evaluation); loads additionally consume
-    a D-cache port, which the pipeline accounts for separately.
+    a D-cache port, which the pipeline accounts for separately.  The cycle
+    kernel reads the two class tables below when it decodes a trace, and
+    resets ``_avail_list`` to ``_caps_list`` at the start of every cycle.
     """
 
-    #: Execution latencies per class (cycles), SimpleScalar defaults.
-    LATENCY = {
-        InstrClass.IALU: 1,
-        InstrClass.IMUL: 3,
-        InstrClass.IDIV: 20,
-        InstrClass.FALU: 2,
-        InstrClass.FMUL: 4,
-        InstrClass.FDIV: 12,
-        InstrClass.LOAD: 1,    # AGU; cache latency added by the pipeline
-        InstrClass.STORE: 1,   # AGU
-        InstrClass.BRANCH: 1,
-        InstrClass.NOP: 1,
-    }
-
-    #: Pool index per class: 0=int_alu, 1=int_muldiv, 2=fp_alu, 3=fp_muldiv.
-    #: Lists indexed by the IntEnum value keep the per-issue lookup to two
-    #: list subscripts (this is called once per issued instruction).
+    #: Pool index per class (indexed by the ``InstrClass`` value):
+    #: 0=int_alu, 1=int_muldiv, 2=fp_alu, 3=fp_muldiv.
     _POOL_INDEX = (0, 1, 1, 2, 3, 3, 0, 0, 0, 0)
-    #: Latency per class, indexed by IntEnum value; public so the pipeline
-    #: can index it directly on its hottest issue path.
+    #: Execution latency per class in cycles (SimpleScalar defaults),
+    #: indexed by the ``InstrClass`` value.  Loads and stores count their
+    #: AGU cycle only; the pipeline adds the cache latency.
     latency_by_cls = (1, 3, 20, 2, 4, 12, 1, 1, 1, 1)
-
-    #: Name-keyed views kept for introspection and tests.
-    _POOL = {
-        InstrClass.IALU: "int_alu",
-        InstrClass.IMUL: "int_muldiv",
-        InstrClass.IDIV: "int_muldiv",
-        InstrClass.FALU: "fp_alu",
-        InstrClass.FMUL: "fp_muldiv",
-        InstrClass.FDIV: "fp_muldiv",
-        InstrClass.LOAD: "int_alu",
-        InstrClass.STORE: "int_alu",
-        InstrClass.BRANCH: "int_alu",
-        InstrClass.NOP: "int_alu",
-    }
 
     def __init__(self, int_alu: int = 8, int_muldiv: int = 2, fp_alu: int = 8, fp_muldiv: int = 2):
         if min(int_alu, int_muldiv, fp_alu, fp_muldiv) <= 0:
             raise ConfigError("functional unit counts must be positive")
-        self._caps = {
-            "int_alu": int_alu,
-            "int_muldiv": int_muldiv,
-            "fp_alu": fp_alu,
-            "fp_muldiv": fp_muldiv,
-        }
         self._caps_list = [int_alu, int_muldiv, fp_alu, fp_muldiv]
         self._avail_list = list(self._caps_list)
-
-    @property
-    def _avail(self):
-        """Name-keyed availability view (tests / debugging)."""
-        return dict(zip(("int_alu", "int_muldiv", "fp_alu", "fp_muldiv"), self._avail_list))
-
-    def new_cycle(self) -> None:
-        """Restore full bandwidth at the start of each cycle."""
-        self._avail_list[:] = self._caps_list
-
-    def try_acquire(self, cls: InstrClass) -> bool:
-        """Claim a unit of the right pool for this cycle, if available."""
-        pool = self._POOL_INDEX[cls]
-        avail = self._avail_list
-        if avail[pool] > 0:
-            avail[pool] -= 1
-            return True
-        return False
-
-    def latency(self, cls: InstrClass) -> int:
-        return self.latency_by_cls[cls]
 
 
 class PhysRegFile:
@@ -99,13 +45,6 @@ class PhysRegFile:
         self.total = total
         self.free = total - architectural
         self.allocations = 0
-
-    def try_allocate(self) -> bool:
-        if self.free > 0:
-            self.free -= 1
-            self.allocations += 1
-            return True
-        return False
 
     def release(self) -> None:
         self.free += 1

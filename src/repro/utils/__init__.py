@@ -9,7 +9,6 @@ from repro.utils.bitops import (
     overlap,
 )
 from repro.utils.rng import DeterministicRng
-from repro.utils.ring import RingBuffer
 
 __all__ = [
     "align_down",
@@ -19,5 +18,4 @@ __all__ = [
     "log2_exact",
     "overlap",
     "DeterministicRng",
-    "RingBuffer",
 ]

@@ -10,29 +10,28 @@ from repro.isa.opcodes import InstrClass
 
 
 class TestFunctionalUnits:
-    def test_pool_limits(self):
-        fus = FunctionalUnits(int_alu=2, int_muldiv=1, fp_alu=2, fp_muldiv=1)
-        fus.new_cycle()
-        assert fus.try_acquire(InstrClass.IALU)
-        assert fus.try_acquire(InstrClass.LOAD)   # loads share the int pool
-        assert not fus.try_acquire(InstrClass.STORE)
-        assert fus.try_acquire(InstrClass.IMUL)
-        assert not fus.try_acquire(InstrClass.IDIV)  # muldiv pool exhausted
-        assert fus.try_acquire(InstrClass.FALU)
+    """The class tables the cycle kernel decodes a trace with."""
 
-    def test_new_cycle_restores(self):
-        fus = FunctionalUnits(int_alu=1)
-        fus.new_cycle()
-        assert fus.try_acquire(InstrClass.IALU)
-        assert not fus.try_acquire(InstrClass.IALU)
-        fus.new_cycle()
-        assert fus.try_acquire(InstrClass.IALU)
+    def test_pool_limits(self):
+        pool = FunctionalUnits._POOL_INDEX
+        int_alu = pool[InstrClass.IALU]
+        assert pool[InstrClass.LOAD] == int_alu   # loads share the int pool
+        assert pool[InstrClass.STORE] == int_alu
+        assert pool[InstrClass.BRANCH] == int_alu
+        assert pool[InstrClass.IDIV] == pool[InstrClass.IMUL] != int_alu
+        assert pool[InstrClass.FDIV] == pool[InstrClass.FMUL]
+        assert pool[InstrClass.FALU] not in (int_alu, pool[InstrClass.FMUL])
+        fus = FunctionalUnits(int_alu=2, int_muldiv=1, fp_alu=3, fp_muldiv=4)
+        assert fus._caps_list == [2, 1, 3, 4]
+        assert fus._avail_list == fus._caps_list
+        assert fus._avail_list is not fus._caps_list
 
     def test_latencies(self):
-        fus = FunctionalUnits()
-        assert fus.latency(InstrClass.IALU) == 1
-        assert fus.latency(InstrClass.IDIV) > fus.latency(InstrClass.IMUL)
-        assert fus.latency(InstrClass.FDIV) > fus.latency(InstrClass.FMUL)
+        lat = FunctionalUnits.latency_by_cls
+        assert len(lat) == len(InstrClass)
+        assert lat[InstrClass.IALU] == 1
+        assert lat[InstrClass.IDIV] > lat[InstrClass.IMUL]
+        assert lat[InstrClass.FDIV] > lat[InstrClass.FMUL]
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
@@ -40,17 +39,15 @@ class TestFunctionalUnits:
 
 
 class TestPhysRegFile:
-    def test_alloc_until_exhausted(self):
+    def test_free_excludes_architectural(self):
         regs = PhysRegFile(total=34)  # 2 free beyond architectural
-        assert regs.try_allocate()
-        assert regs.try_allocate()
-        assert not regs.try_allocate()
+        assert regs.free == 2
 
     def test_release_returns_to_pool(self):
         regs = PhysRegFile(total=33)
-        assert regs.try_allocate()
+        regs.free -= 1  # the dispatch stage allocates by decrementing
         regs.release()
-        assert regs.try_allocate()
+        assert regs.free == 1
 
     def test_double_release_detected(self):
         regs = PhysRegFile(total=33)
@@ -71,13 +68,8 @@ class TestDynInstr:
     def test_initial_state(self):
         d = self._mk()
         assert d.state == InstrState.DISPATCHED
-        assert not d.resolved and not d.squashed
+        assert d.resolve_cycle == -1
         assert d.true_violation_store == -1
-
-    def test_resolved_after_resolve_cycle(self):
-        d = self._mk(cls=InstrClass.STORE, dst=None)
-        d.resolve_cycle = 12
-        assert d.resolved
 
     def test_flags_passthrough(self):
         assert self._mk(cls=InstrClass.LOAD).is_load
