@@ -20,9 +20,10 @@ cross-checks the scheme's decisions against that oracle:
   monotonicity / rollback exactness, ``end_check`` window consistency, and
   ROB/LSQ age ordering on every event.
 
-Attach with :func:`attach_sanitizer` — which also registers the sanitizer
-on the processor's hook seam, disabling the event-horizon cycle skipper
-exactly like a tracer does (hooks must never run under skipped cycles).
+Attach with :func:`attach_sanitizer`.  The idle-cycle skipper stays on:
+it skips only cycles in which no hook can fire, so a sanitized run checks
+exactly the events a stepped one does (pinned by
+``tests/test_observers_fastpath.py``).
 """
 
 from typing import List, Optional
@@ -309,15 +310,9 @@ def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
 
 
 def attach_sanitizer(processor, strict: bool = False) -> MemoryOrderSanitizer:
-    """Wrap ``processor``'s scheme in a sanitizer before the run starts.
-
-    Also registers the sanitizer on the processor's hook seam
-    (:meth:`repro.sim.processor.Processor.attach_hook`), which disables the
-    event-horizon cycle skipper for the run — the same rule tracers follow.
-    """
+    """Wrap ``processor``'s scheme in a sanitizer before the run starts."""
     if processor.kernel is not None:
         raise SanitizerError("attach the sanitizer before the run starts")
     sanitizer = MemoryOrderSanitizer(processor.scheme, strict=strict)
     processor.scheme = sanitizer
-    processor.attach_hook(sanitizer)
     return sanitizer

@@ -71,12 +71,12 @@ class CheckScheme:
         self.window_loads = Histogram()
         self.window_safe_loads = Histogram()
         self.window_unsafe_stores = Histogram()
-        #: Optional scheme-event observer (an
-        #: :class:`~repro.obs.recorder.ObservabilityRecorder`).  Emit
-        #: sites guard with ``is None`` so observability is zero-cost
-        #: when off; the recorder receives filter classifications and
-        #: checking-window/table activity as typed events.
-        self.obs = None
+        #: Emit target for scheme events (``store_safe``/``store_unsafe``,
+        #: ``window_open``/``window_close``, ``table_mark``/``table_probe``):
+        #: the kernel's observer slot (``Processor.tracer``), bound when the
+        #: hook set is built.  Emit sites guard with ``is None`` so
+        #: observation is zero-cost when off.
+        self.tracer = None
 
     #: True while a DMDC checking window is open (cycle accounting).  A
     #: plain attribute, not a property: the cycle loop reads it every
@@ -128,6 +128,9 @@ class SoaHooks:
     def __init__(self, scheme: CheckScheme, kernel) -> None:
         self.scheme = scheme
         self.k = kernel
+        # Bound on the scheme, not the hook set: DMDC closes its last
+        # window in ``finalize``, after the kernel has dropped its hooks.
+        scheme.tracer = kernel.tracer
 
     def on_load_issue(self, slot: int, cycle: int) -> int:
         """A load issued (called only when ``has_load_issue``); return a

@@ -91,9 +91,10 @@ class _ConventionalHooks(SoaHooks):
             self.inv_marked = [False] * len(kernel.seq)
 
     def _classified(self, slot: int, safe: bool, cycle: int) -> None:
-        obs = self.scheme.obs
-        if obs is not None:
-            obs.store_classified(self.k.view(slot), safe, cycle)
+        tracer = self.scheme.tracer
+        if tracer is not None:
+            tracer.record("store_safe" if safe else "store_unsafe",
+                          self.k.view(slot), cycle)
 
     def _filtered(self, slot: int, cycle: int) -> int:
         """A filter proved the store safe: count it and skip the search."""

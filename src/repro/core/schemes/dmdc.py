@@ -138,15 +138,17 @@ class DmdcScheme(CheckScheme):
             self._w_safe_loads = 0
             self._w_unsafe_stores = 0
             self.stats.bump("windows.opened")
-            if self.obs is not None:
-                self.obs.window_opened(cycle)
+            if self.tracer is not None:
+                self.tracer.record("window_open", None, cycle)
 
     def _terminate(self, cycle: int) -> None:
         self.stats.bump("windows.closed")
         self.stats.bump("checking.cycles", max(1, cycle - self._activation_cycle + 1))
-        if self.obs is not None:
-            self.obs.window_closed(cycle, self._w_instrs, self._w_loads,
-                                   self._w_unsafe_stores)
+        if self.tracer is not None:
+            self.tracer.record(
+                "window_close", None, cycle,
+                f"instrs={self._w_instrs} loads={self._w_loads} "
+                f"unsafe_stores={self._w_unsafe_stores}")
         self.window_instrs.add(self._w_instrs)
         self.window_loads.add(self._w_loads)
         self.window_safe_loads.add(self._w_safe_loads)
@@ -229,8 +231,9 @@ class _DmdcHooks(SoaHooks):
         safe = s.yla.store_is_safe(addr, sseq)
         if s.yla_line is not None and s.yla_line.store_is_safe(addr, sseq):
             safe = True
-        if s.obs is not None:
-            s.obs.store_classified(k.view(slot), safe, cycle)
+        if s.tracer is not None:
+            s.tracer.record("store_safe" if safe else "store_unsafe",
+                            k.view(slot), cycle)
         if safe:
             s.stats.bump("stores.safe")
             return -1
@@ -274,8 +277,8 @@ class _DmdcHooks(SoaHooks):
         s._activate(cycle)
         s._w_unsafe_stores += 1
         s.stats.bump("stores.unsafe_committed")
-        if s.obs is not None:
-            s.obs.table_marked(k.view(slot), cycle)
+        if s.tracer is not None:
+            s.tracer.record("table_mark", k.view(slot), cycle)
         addr = k.addr[slot]
         size = k.size[slot]
         if s.table is not None:
@@ -313,8 +316,9 @@ class _DmdcHooks(SoaHooks):
             hit = outcome == CheckingTable.WRT_HIT
         else:
             hit = s.queue.check_load(addr, size) is not None
-        if s.obs is not None:
-            s.obs.table_probed(k.view(slot), hit, cycle)
+        if s.tracer is not None:
+            s.tracer.record("table_probe", k.view(slot), cycle,
+                            "hit" if hit else "miss")
         if not hit:
             return False
         self._classify_replay(slot)

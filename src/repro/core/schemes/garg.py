@@ -108,11 +108,11 @@ class _GargHooks(SoaHooks):
         sseq = k.seq[slot]
         if s.table.youngest_for(addr) <= sseq:
             s.stats.bump("stores.safe")
-            if s.obs is not None:
-                s.obs.store_classified(k.view(slot), True, cycle)
+            if s.tracer is not None:
+                s.tracer.record("store_safe", k.view(slot), cycle)
             return -1
-        if s.obs is not None:
-            s.obs.store_classified(k.view(slot), False, cycle)
+        if s.tracer is not None:
+            s.tracer.record("store_unsafe", k.view(slot), cycle)
         # Possible premature load somewhere younger: flush from the first
         # instruction after the store.
         seq_ = k.seq

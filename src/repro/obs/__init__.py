@@ -1,13 +1,14 @@
 """Structured observability for the simulator (see ``docs/observability.md``).
 
-The package turns the pipeline's existing observer seams — the tracer
-protocol and :meth:`~repro.sim.processor.Processor.attach_hook` — into a
-typed event stream plus exact per-structure attribution:
+The package turns the pipeline's one observer slot (``Processor.tracer``,
+whose ``record(kind, instr, cycle, detail="")`` receives every kind in
+:data:`EVENT_KINDS`) into a typed event stream plus exact per-structure
+attribution:
 
 * :mod:`repro.obs.events` — the :class:`ObsEvent` record, the bounded
   in-memory :class:`EventRing`, and the :class:`JsonlSink` file writer;
 * :mod:`repro.obs.recorder` — :class:`ObservabilityRecorder`, which sits
-  on every seam at once (tracer, replay-cause seam, scheme emit seam) and
+  in that slot, receives pipeline, replay and scheme events, and
   accumulates cycle buckets, structure residency, and replay taxonomy
   while the simulation runs;
 * :mod:`repro.obs.attribution` — reconciles the event-derived totals
@@ -20,16 +21,13 @@ typed event stream plus exact per-structure attribution:
 Observability is strictly zero-cost when off: every emit site in the
 pipeline and the schemes is an ``is None`` test on a pre-bound attribute,
 and attaching a recorder is proven bit-invisible across the full scheme
-matrix (``tests/test_obs_matrix.py``).
+matrix (``tests/test_obs_matrix.py``).  Profiled runs take the same kernel
+path as plain ones, idle-cycle skipper included.
 """
 
 from repro.obs.attribution import AttributionReport, ReconLine, build_attribution
 from repro.obs.events import EVENT_KINDS, EventRing, JsonlSink, ObsEvent
-from repro.obs.recorder import (
-    ObservabilityRecorder,
-    attach_observer,
-    detach_observer,
-)
+from repro.obs.recorder import ObservabilityRecorder, attach_observer
 from repro.obs.profile import (
     ProfileReport,
     profile_request,
@@ -44,7 +42,6 @@ __all__ = [
     "JsonlSink",
     "ObservabilityRecorder",
     "attach_observer",
-    "detach_observer",
     "AttributionReport",
     "ReconLine",
     "build_attribution",

@@ -12,16 +12,17 @@ import json
 from collections import deque
 from typing import IO, Deque, List, NamedTuple, Optional
 
-#: Every event kind the recorder can emit.  The first eight mirror the
-#: pipeline tracer's mnemonics one-to-one; the rest are scheme-level
-#: events (YLA classification, checking-window and checking-table
-#: activity) plus the cause-tagged ``replay``.
+#: Every event kind the observer slot (``Processor.tracer``) receives and
+#: the recorder emits.  The first eight mirror the pipeline tracer's
+#: mnemonics one-to-one; the rest are scheme-level events (YLA
+#: classification, checking-window and checking-table activity).
 EVENT_KINDS = (
-    # pipeline stage events (from the tracer seam)
+    # pipeline stage events (from the kernel)
     "fetch", "dispatch", "issue", "reject", "complete", "commit", "squash",
-    # replay with cause detail "<site>:<verdict>" (from the processor seam)
+    # replay: the kernel passes its detection site, the recorder emits
+    # cause detail "<site>:<verdict>"
     "replay",
-    # scheme events (from the scheme emit seam)
+    # scheme events (from the scheme, through the same slot)
     "store_safe", "store_unsafe",
     "window_open", "window_close",
     "table_mark", "table_probe",

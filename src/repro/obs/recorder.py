@@ -1,28 +1,27 @@
-"""The observability recorder: one object on every observer seam.
+"""The observability recorder: one object in the processor's observer slot.
 
-:class:`ObservabilityRecorder` is simultaneously
+:class:`ObservabilityRecorder` is the processor's **tracer**
+(``Processor.tracer``, the one observer slot).  Its :meth:`record`
+receives every event kind in :data:`~repro.obs.events.EVENT_KINDS`:
 
-* the processor's **tracer** (it implements the tracer protocol's
-  ``record(kind, instr, cycle)``), forwarding each pipeline event to an
-  internal :class:`~repro.sim.pipetrace.PipelineTracer` for the
-  pipetrace-aligned timeline while accumulating attribution totals;
-* the target of the processor's **replay seam** (``Processor.obs``):
-  :meth:`replay` receives every replay with its detection site
-  (commit/execution/coherence) and derives the verdict (true/false) from
-  the simulator's ground-truth flag;
-* the target of the **scheme emit seam** (``CheckScheme.obs``):
-  :meth:`store_classified`, :meth:`window_opened`, :meth:`window_closed`,
-  :meth:`table_marked`, :meth:`table_probed` receive YLA filter outcomes
-  and checking-window/table activity;
-* a registered **hook** (via :meth:`~repro.sim.processor.Processor.attach_hook`),
-  which is what turns the event-horizon cycle skipper off so per-cycle
-  attribution sees every cycle individually.
+* pipeline stage events from the kernel, forwarded to an internal
+  :class:`~repro.sim.pipetrace.PipelineTracer` for the pipetrace-aligned
+  timeline while accumulating attribution totals;
+* each replay from the kernel with its detection site
+  (commit/execution/coherence) as ``detail``; the verdict (true/false) is
+  derived from the simulator's ground-truth flag;
+* scheme events, through the emit target the scheme's hook set binds from
+  the same slot: YLA filter outcomes (``store_safe``/``store_unsafe``),
+  checking windows (``window_open``/``window_close``) and checking-table
+  marks and probes.
+
+The event-horizon cycle skipper stays on: it skips only cycles in which
+no event can fire, and such cycles are idle in the attribution either way.
 
 Attribution is streaming: cycle buckets, structure residency integrals,
 and replay-site tallies are folded as events arrive, so memory stays
-bounded regardless of run length.  :func:`attach_observer` wires one
-recorder onto a freshly-built processor; :func:`detach_observer` undoes
-it (restoring the fast path once no hooks remain).
+bounded regardless of run length.  :func:`attach_observer` puts one
+recorder into a freshly-built processor's observer slot.
 """
 
 from typing import Dict, List, Optional
@@ -182,17 +181,22 @@ class ObservabilityRecorder:
             buckets["writeback"] += 1
 
     # ------------------------------------------------------------------
-    # tracer-protocol seam (pipeline stage events)
+    # the observer slot
     # ------------------------------------------------------------------
-    def record(self, kind: str, instr, cycle: int) -> None:
-        """Tracer-protocol entry: one pipeline event for one instruction."""
-        self.tracer.record(kind, instr, cycle)
-        if kind == "replay":
-            # The cause-tagged replay arrives via the dedicated replay()
-            # seam; the tracer record above keeps the timeline complete.
+    def record(self, kind: str, instr, cycle: int, detail: str = "") -> None:
+        """One event of any kind in ``EVENT_KINDS``.
+
+        ``instr`` is the instruction's view (``None`` for window events);
+        ``detail`` is the replay's detection site, the probe outcome, or
+        the window-close totals.
+        """
+        bit = _KIND_BITS.get(kind)
+        if bit is None:
+            self._fold_other(kind, instr, cycle, detail)
             return
+        self.tracer.record(kind, instr, cycle)
         self.pipeline_counts[kind] += 1
-        self._tick(cycle, _KIND_BITS[kind])
+        self._tick(cycle, bit)
         if kind == "commit":
             residency = cycle - instr.dispatch_cycle + 1
             self.rob_residency += residency
@@ -221,11 +225,41 @@ class ObservabilityRecorder:
                 self.dispatch_stores += 1
         self._emit(cycle, kind, instr.seq, instr.uop.pc, "")
 
-    # ------------------------------------------------------------------
-    # processor replay seam
-    # ------------------------------------------------------------------
-    def replay(self, victim, site: str, cycle: int) -> None:
-        """One replay, from detection site ``site`` (see REPLAY_SITES).
+    def _fold_other(self, kind: str, instr, cycle: int, detail: str) -> None:
+        """Fold one replay or scheme event (the kinds :meth:`record` does
+        not count as pipeline events)."""
+        if kind == "replay":
+            self.tracer.record(kind, instr, cycle)
+            detail = self._replay(instr, detail, cycle)
+        elif kind == "store_safe":
+            # A filter *hit*: the YLA/Bloom/age-hash filter proved no
+            # younger issued load can alias, so the checking work is
+            # skipped; unsafe stores pay the full checking cost.
+            self.stores_safe += 1
+        elif kind == "store_unsafe":
+            self.stores_unsafe += 1
+        elif kind == "window_open":
+            self.windows_opened += 1
+            self._window_open_cycle = cycle
+        elif kind == "window_close":
+            self.windows_closed += 1
+            # Mirrors the scheme's own checking.cycles accounting exactly.
+            self.window_cycles += max(1, cycle - self._window_open_cycle + 1)
+            self._window_open_cycle = -1
+        elif kind == "table_mark":
+            self.table_marks += 1
+        elif kind == "table_probe":
+            self.table_probes += 1
+            if detail == "hit":
+                self.table_probe_hits += 1
+        if instr is None:
+            self._emit(cycle, kind, -1, -1, detail)
+        else:
+            self._emit(cycle, kind, instr.seq, instr.uop.pc, detail)
+
+    def _replay(self, victim, site: str, cycle: int) -> str:
+        """Tally one replay from detection site ``site`` (see REPLAY_SITES)
+        and return its cause, ``"<site>:<verdict>"``.
 
         The verdict distinguishes the paper's taxonomy at the granularity
         the processor can see: a *true* replay squashes a load the
@@ -254,49 +288,7 @@ class ObservabilityRecorder:
         entry.last_seq = victim.seq
         entry.last_cycle = cycle
         self._tick(cycle, _BIT_REPLAY)
-        self._emit(cycle, "replay", victim.seq, pc, cause)
-
-    # ------------------------------------------------------------------
-    # scheme emit seam
-    # ------------------------------------------------------------------
-    def store_classified(self, store, safe: bool, cycle: int) -> None:
-        """A resolving store was classified by the scheme's filter.
-
-        ``safe`` means the YLA/Bloom/age-hash filter proved no younger
-        issued load can alias (a filter *hit*: the LQ search or checking
-        work is skipped); unsafe stores pay the full checking cost.
-        """
-        if safe:
-            self.stores_safe += 1
-            self._emit(cycle, "store_safe", store.seq, store.uop.pc, "")
-        else:
-            self.stores_unsafe += 1
-            self._emit(cycle, "store_unsafe", store.seq, store.uop.pc, "")
-
-    def window_opened(self, cycle: int) -> None:
-        self.windows_opened += 1
-        self._window_open_cycle = cycle
-        self._emit(cycle, "window_open", -1, -1, "")
-
-    def window_closed(self, cycle: int, instrs: int, loads: int,
-                      unsafe_stores: int) -> None:
-        self.windows_closed += 1
-        # Mirrors the scheme's own checking.cycles accounting exactly.
-        self.window_cycles += max(1, cycle - self._window_open_cycle + 1)
-        self._window_open_cycle = -1
-        self._emit(cycle, "window_close", -1, -1,
-                   f"instrs={instrs} loads={loads} unsafe_stores={unsafe_stores}")
-
-    def table_marked(self, store, cycle: int) -> None:
-        self.table_marks += 1
-        self._emit(cycle, "table_mark", store.seq, store.uop.pc, "")
-
-    def table_probed(self, load, hit: bool, cycle: int) -> None:
-        self.table_probes += 1
-        if hit:
-            self.table_probe_hits += 1
-        self._emit(cycle, "table_probe", load.seq, load.uop.pc,
-                   "hit" if hit else "miss")
+        return cause
 
     # ------------------------------------------------------------------
     # finalization
@@ -323,25 +315,15 @@ class ObservabilityRecorder:
         return ranked[:n]
 
 
-def _innermost_scheme(scheme):
-    """Unwrap observer wrappers (e.g. the sanitizer) to the real scheme."""
-    seen = set()
-    while hasattr(scheme, "inner") and id(scheme) not in seen:
-        seen.add(id(scheme))
-        scheme = scheme.inner
-    return scheme
-
-
 def attach_observer(processor,
                     recorder: Optional[ObservabilityRecorder] = None,
                     **recorder_kwargs) -> ObservabilityRecorder:
-    """Wire one recorder onto every observer seam of ``processor``.
+    """Put one recorder into ``processor``'s observer slot.
 
     Must run before the first cycle (the recorder needs to see every
-    event from cycle zero for its attribution to reconcile).  Attaching
-    registers the recorder as a hook, which disables the event-horizon
-    cycle skipper for the run — results are bit-identical regardless
-    (pinned by ``tests/test_obs_matrix.py``).
+    event from cycle zero for its attribution to reconcile).  Results are
+    bit-identical with or without it (pinned by
+    ``tests/test_obs_matrix.py``), and the idle-cycle skipper stays on.
     """
     if processor.cycle != 0:
         raise SimulationError(
@@ -354,20 +336,4 @@ def attach_observer(processor,
     if recorder is None:
         recorder = ObservabilityRecorder(**recorder_kwargs)
     processor.tracer = recorder
-    processor.obs = recorder
-    _innermost_scheme(processor.scheme).obs = recorder
-    processor.attach_hook(recorder)
     return recorder
-
-
-def detach_observer(processor, recorder: ObservabilityRecorder) -> None:
-    """Undo :func:`attach_observer` (restores the fast path once no hooks
-    remain attached)."""
-    if processor.tracer is recorder:
-        processor.tracer = None
-    if processor.obs is recorder:
-        processor.obs = None
-    scheme = _innermost_scheme(processor.scheme)
-    if getattr(scheme, "obs", None) is recorder:
-        scheme.obs = None
-    processor.detach_hook(recorder)

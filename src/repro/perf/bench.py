@@ -130,9 +130,6 @@ def _bench_one(config: MachineConfig, trace, budget: int, seed: int,
         # clock too coarse to resolve the run) by answering 0.0.
         "instr_per_sec": result.instructions_per_second,
         "ipc": result.ipc,
-        # Effective per-row, not just the global env flag: a future
-        # tracer/hook user of this helper would silently lose the fast
-        # path, and the row must say so.
         "fastpath_enabled": processor.fastpath_enabled,
         "fast_forwarded_cycles": processor.fast_forwarded_cycles,
         "fast_forward_fraction": (

@@ -1,12 +1,14 @@
 """Per-instruction pipeline event tracing and timeline rendering.
 
 Attach a :class:`PipelineTracer` to a :class:`~repro.sim.processor.Processor`
-before running and every pipeline event (fetch, dispatch, issue, complete,
-commit, squash, replay) is recorded.  ``render_timeline`` prints a
-Konata-style text chart — one row per dynamic instruction, one column per
-cycle — which makes dependence stalls, rejections, and replay squashes
-visible at a glance.  Intended for debugging and for the examples; tracing
-adds overhead, so production runs leave ``Processor.tracer`` unset.
+(its one observer slot, ``Processor.tracer``) before running and every
+pipeline event (fetch, dispatch, issue, complete, commit, squash, replay)
+is recorded; the scheme events the slot also receives are ignored.
+``render_timeline`` prints a Konata-style text chart — one row per
+dynamic instruction, one column per cycle — which makes dependence
+stalls, rejections, and replay squashes visible at a glance.  Intended
+for debugging and for the examples; tracing adds overhead, so production
+runs leave ``Processor.tracer`` unset.
 """
 
 from dataclasses import dataclass, field
@@ -64,14 +66,17 @@ class PipelineTracer:
         self._evicted_through = -1
 
     # -- recording --------------------------------------------------------
-    def record(self, kind: str, instr, cycle: int) -> None:
+    def record(self, kind: str, instr, cycle: int, detail: str = "") -> None:
         """Record one event for a dynamic instruction.
 
-        Events for instructions already evicted from the ring (and every
-        event when ``capacity <= 0``) are counted but not retained, so
-        :meth:`instr`/:meth:`latency` answer ``None`` for evicted rows
-        instead of returning stale partial ones.
+        Kinds with no mnemonic in :data:`EVENT_CHARS` (the scheme events)
+        are ignored.  Events for instructions already evicted from the
+        ring (and every event when ``capacity <= 0``) are counted but not
+        retained, so :meth:`instr`/:meth:`latency` answer ``None`` for
+        evicted rows instead of returning stale partial ones.
         """
+        if kind not in EVENT_CHARS:
+            return
         self.events_recorded += 1
         seq = instr.seq
         entry = self._instrs.get(seq)

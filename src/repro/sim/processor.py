@@ -18,22 +18,25 @@ out-of-order simulator, as configured in the paper's Table 1:
 * memory-ordering violations cause a squash-and-refetch from the violating
   load (execution-time for conventional schemes, commit-time for DMDC).
 
-:class:`Processor` owns the machine's components and the observer seams;
-the cycle loop itself is :class:`~repro.sim.soa.SoaKernel`, which every
-run uses.  A simulator-side ground-truth checker flags every *true*
-premature load at store resolution; any scheme that lets such a load
-retire un-replayed raises :class:`~repro.errors.OrderingViolationMissed`.
+:class:`Processor` owns the machine's components and the one observer
+slot (``Processor.tracer``); the cycle loop itself is
+:class:`~repro.sim.soa.SoaKernel`, which every run uses.  A simulator-side
+ground-truth checker flags every *true* premature load at store
+resolution; any scheme that lets such a load retire un-replayed raises
+:class:`~repro.errors.OrderingViolationMissed`.
 The flags also feed DMDC's replay taxonomy (Tables 3/5 of the paper).
 
 Performance: the kernel has an event-horizon skipper that jumps over
-stretches of provably idle cycles (see ``docs/performance.md``).
-``REPRO_NO_FASTPATH=1`` disables it; results are bit-identical either way
-(enforced by ``tests/test_fastpath_equivalence.py``).
+stretches of provably idle cycles (see ``docs/performance.md``).  It runs
+with or without observers attached; only ``REPRO_NO_FASTPATH=1`` and a live
+invalidation injector turn it off.  Results, timelines and observer output
+are bit-identical either way (``tests/test_fastpath_equivalence.py``,
+``tests/test_observers_fastpath.py``).
 """
 
 import os
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
@@ -102,28 +105,27 @@ class Processor:
         #: deliberately NOT a counter, so results stay bit-identical with
         #: the fast path disabled).
         self.fast_forwarded_cycles = 0
-        #: Fast path gate: off via env, and off whenever the invalidation
-        #: injector is live (it draws from the RNG every cycle, so skipped
-        #: cycles would change the random stream).
+        #: Whether the idle-cycle skipper runs: off via env, and off
+        #: whenever the invalidation injector is live (it draws from the
+        #: RNG every cycle, so skipped cycles would change the random
+        #: stream).  Observers never turn it off: it skips only cycles in
+        #: which no event can fire.  Bench provenance reads it per row.
         # repro: noqa[REPRO011] — a debug kill-switch, deliberately outside
         # EngineOptions: it must work even when options plumbing is what
         # is being debugged, and bench.py reports it alongside the knobs.
-        self._fastpath = (  # repro: noqa[REPRO011]
+        self.fastpath_enabled = (  # repro: noqa[REPRO011]
             not os.environ.get(NO_FASTPATH_ENV)
             and not self.invalidations.enabled
         )
-        #: Optional PipelineTracer; when set, every pipeline event is recorded.
+        #: The one observer slot: any object with
+        #: ``record(kind, instr, cycle, detail="")`` receives every event
+        #: kind in :data:`repro.obs.events.EVENT_KINDS` — pipeline stages
+        #: and site-tagged replays from the kernel, filter/window/table
+        #: events from the scheme.  A
+        #: :class:`~repro.sim.pipetrace.PipelineTracer` or an
+        #: :class:`~repro.obs.recorder.ObservabilityRecorder`; every emit
+        #: site is an ``is None`` test, so it costs nothing when unset.
         self.tracer = None
-        #: Optional replay-cause observer (an
-        #: :class:`~repro.obs.recorder.ObservabilityRecorder`): when set,
-        #: every replay is reported with its detection site.  Like the
-        #: tracer, the seam is an ``is None`` test — zero cost when off.
-        self.obs = None
-        #: Attached observers (sanitizers, probes).  Any entry — like a
-        #: tracer — disables the event-horizon cycle skipper: hooks observe
-        #: per-event state and must never run under skipped cycles
-        #: (regression-pinned by ``tests/test_hooks_fastpath.py``).
-        self._hooks: List[object] = []
         #: Reusable slot-pool buffers: ``run_many`` seeds them so
         #: same-geometry batch elements share one allocation; otherwise
         #: :meth:`run` fills them.
@@ -134,36 +136,6 @@ class Processor:
         #: Which cycle loop ran.  There is one, so this is constant; it
         #: stays because the benchmark's traced run reads it.
         self.kernel_used = "soa"
-
-    def attach_hook(self, hook: object) -> None:
-        """Register an observer for this run (see ``docs/correctness.md``).
-
-        The only seam for attaching sanitizers/probes: registration is what
-        turns the cycle skipper off, so a hook attached any other way would
-        silently miss skipped cycles.  Attaching the same hook twice keeps
-        one registration per call, but the skipper gate is membership-based
-        (``not self._hooks``), so any number of hooks disables it exactly
-        once and detaching the last one restores it.
-        """
-        self._hooks.append(hook)
-
-    def detach_hook(self, hook: object) -> None:
-        """Remove one previously attached observer.
-
-        Once the last hook is detached (and no tracer is set) the
-        event-horizon cycle skipper is allowed again for the run.
-        """
-        self._hooks.remove(hook)
-
-    @property
-    def fastpath_enabled(self) -> bool:
-        """True when the idle-cycle skipper may currently run.
-
-        The env/injector switch set at construction, no tracer, and no
-        attached hooks; the kernel reads it when the run starts.  Bench
-        provenance and the hook-interaction tests read it too.
-        """
-        return self._fastpath and self.tracer is None and not self._hooks
 
     # ==================================================================
     # Public driver

@@ -18,13 +18,17 @@ invalidations injected — runs here, over preallocated parallel arrays:
   set receives slot indices (see :class:`repro.core.schemes.base.SoaHooks`).
 
 Observers ride ``is None``-gated emit sites bound to locals before the
-loop, so an unobserved run pays one comparison per site: the pipeline
-tracer (fetch, dispatch, issue, reject, complete, commit, replay and
-squash events, each carrying a :class:`~repro.backend.dyninst.DynInstr`
-view of the slot), the recorder's replay seam (``Processor.obs``), the
-invalidation injector's per-cycle draw, and a per-cycle callback
-(:func:`repro.sim.validate.run_with_validation`).  The sanitizer wraps the
-scheme, so its hook set wraps the scheme's.  See ``docs/performance.md``.
+loop, so an unobserved run pays one comparison per site.  There is one
+observer slot, ``Processor.tracer``: it receives fetch, dispatch, issue,
+reject, complete, commit and squash events plus each replay tagged with
+its detection site, each carrying a
+:class:`~repro.backend.dyninst.DynInstr` view of the slot, and the
+scheme's hook set binds the same object as the scheme's emit target.  The
+other optional per-cycle work is the invalidation injector's draw and a
+per-cycle callback (:func:`repro.sim.validate.run_with_validation`).  The
+sanitizer wraps the scheme, so its hook set wraps the scheme's.  The
+idle-cycle skipper runs under every observer: it skips only cycles in
+which no event can fire.  See ``docs/performance.md``.
 
 Slot identity: a slot is recycled as soon as its instruction retires or is
 squashed, and ``next_seq`` never rolls back on a squash, so live sequence
@@ -333,7 +337,6 @@ class SoaKernel:
         self.fu_caps = p.fus._caps_list
         self.fu_avail = p.fus._avail_list
         self.tracer = p.tracer
-        self.obs = p.obs
 
         # Config scalars ------------------------------------------------
         self.width = config.width
@@ -357,7 +360,8 @@ class SoaKernel:
         self.reexec_loads = p.scheme.reexecutes_loads
 
         #: The scheme's hook set for this run (bound last: hook sets read
-        #: the kernel's columns and scalars).
+        #: the kernel's columns and scalars, and bind ``tracer`` as the
+        #: scheme's emit target).
         self.hooks = p.scheme.soa_hooks(self)
 
     def view(self, slot: int) -> DynInstr:
@@ -460,7 +464,6 @@ class SoaKernel:
         scheme = self.scheme
         hooks = self.hooks
         tracer = self.tracer
-        obs = self.obs
         views_ = self.views
         view = self.view
         ops = self.ops
@@ -652,9 +655,7 @@ class SoaKernel:
                         n_replays += 1
                         n_replays_commit += 1
                         if tracer is not None:
-                            tracer.record("replay", views_[head], cycle)
-                        if obs is not None:
-                            obs.replay(view(head), "commit", cycle)
+                            tracer.record("replay", view(head), cycle, "commit")
                         self.cycle = cycle
                         self._squash_from(head)
                         squashed_this_cycle = True
@@ -787,7 +788,7 @@ class SoaKernel:
                             heappush(ready, v)
                     rev.clear()
                 if ready:
-                    fu_avail[:] = fu_caps  # FunctionalUnits.new_cycle
+                    fu_avail[:] = fu_caps
                     ports_left = ports
                     issued = 0
                     # One small list per non-idle issue cycle; parks
@@ -892,9 +893,8 @@ class SoaKernel:
                                             n_replays += 1
                                             n_replays_coh += 1
                                             if tracer is not None:
-                                                tracer.record("replay", views_[victim], cycle)
-                                            if obs is not None:
-                                                obs.replay(view(victim), "coherence", cycle)
+                                                tracer.record("replay", view(victim),
+                                                              cycle, "coherence")
                                             self.cycle = cycle
                                             self._squash_from(victim)
                                             squashed_this_cycle = True
@@ -946,9 +946,8 @@ class SoaKernel:
                                     n_replays += 1
                                     n_replays_exec += 1
                                     if tracer is not None:
-                                        tracer.record("replay", views_[victim], cycle)
-                                    if obs is not None:
-                                        obs.replay(view(victim), "execution", cycle)
+                                        tracer.record("replay", view(victim),
+                                                      cycle, "execution")
                                     self.cycle = cycle
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
@@ -1007,7 +1006,7 @@ class SoaKernel:
                     dst = tdst[ti]
                     if dst >= 0:
                         regs = regs_fp if dst >= 32 else regs_int
-                        if regs.free <= 0:  # PhysRegFile.try_allocate
+                        if regs.free <= 0:
                             n_stall_regs += 1
                             break
                         regs.free -= 1

@@ -99,6 +99,7 @@ class ColumnTable:
         self.lq_searches_filtered = 0
         self.lq_inv_searches = 0
         self.ops = []
+        self.tracer = None
 
     def _slot(self, uop: MicroOp, seq: int) -> int:
         slot = len(self.ops)

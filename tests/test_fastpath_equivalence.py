@@ -82,7 +82,7 @@ def test_invalidation_injection_disables_fastpath(monkeypatch):
         SchemeConfig(kind="dmdc", coherence=True)
     ).with_overrides(invalidation_rate=2.0)
     proc = Processor(config, _trace("gzip"), seed=1)
-    assert not proc._fastpath
+    assert not proc.fastpath_enabled
     proc.prewarm()
     proc.run(BUDGET)
     assert proc.fast_forwarded_cycles == 0

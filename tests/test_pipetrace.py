@@ -89,6 +89,19 @@ class _FakeInstr:
         self.trace_idx = seq
 
 
+def test_scheme_event_kinds_are_ignored():
+    """The observer slot also carries scheme events; a pipeline tracer
+    has no mnemonic for them and neither counts nor retains them."""
+    tracer = PipelineTracer(capacity=4)
+    tracer.record("fetch", _FakeInstr(0), 1)
+    tracer.record("store_safe", _FakeInstr(0), 2)
+    tracer.record("window_open", None, 2)
+    tracer.record("table_probe", _FakeInstr(0), 3, "hit")
+    tracer.record("replay", _FakeInstr(0), 4, "commit")
+    assert tracer.events_recorded == 2
+    assert tracer.instr(0).events == [(1, "fetch"), (4, "replay")]
+
+
 class TestCapacityEdgeCases:
     """Regression tests for eviction coherence at the ring boundary."""
 
