@@ -1,15 +1,16 @@
-"""Attaching any observer must disable the event-horizon cycle skipper.
+"""Observers leave the simulated outcome of a fast-forwarded run alone.
 
-The skipper jumps over externally-invisible idle cycles; a tracer already
-disables it (cycle-granular observation), and the same rule must hold for
-every hook on the generic ``attach_hook`` seam — a sanitizer or probe that
-missed skipped cycles would silently under-check.
+A recorder or a sanitizer keeps the event-horizon cycle skipper on, and the
+run it watches must end exactly where the same run without it ends
+(observer bit-invisibility composed with fast-path equivalence).  The
+comparison of each observer's own output against a fully stepped run is in
+``test_observers_fastpath``.
 """
 
 from repro.analysis.sanitizer import attach_sanitizer
+from repro.obs import attach_observer
 from repro.sim.config import CONFIG2, SchemeConfig
-from repro.sim.pipetrace import PipelineTracer
-from repro.sim.processor import Processor
+from repro.sim.processor import NO_FASTPATH_ENV, Processor
 from repro.workloads import get_workload
 
 BUDGET = 2_500
@@ -27,95 +28,23 @@ def _run(proc):
     return proc, result
 
 
-def test_baseline_run_actually_skips(monkeypatch):
-    """Guard: without observers this workload does fast-forward, so the
-    tests below are not vacuous."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc, _ = _run(_processor())
-    assert proc.fast_forwarded_cycles > 0
-
-
-def test_tracer_disables_skipping(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc = _processor()
-    proc.tracer = PipelineTracer(capacity=64)
-    proc, _ = _run(proc)
-    assert proc.fast_forwarded_cycles == 0
-
-
-def test_attach_hook_disables_skipping(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc = _processor()
-    proc.attach_hook(object())
-    proc, _ = _run(proc)
-    assert proc.fast_forwarded_cycles == 0
-
-
-def test_sanitizer_disables_skipping(monkeypatch):
-    """Regression: the sanitizer rides the hook seam, so attaching it must
-    disable the skipper exactly like a tracer."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc = _processor()
-    attach_sanitizer(proc)
-    proc, _ = _run(proc)
-    assert proc.fast_forwarded_cycles == 0
-
-
-def test_detach_last_hook_restores_skipping(monkeypatch):
-    """The gate is membership-based: any number of hooks disables the
-    skipper exactly once, and detaching the last one restores it."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc = _processor()
-    first, second = object(), object()
-    assert proc.fastpath_enabled
-    proc.attach_hook(first)
-    proc.attach_hook(second)
-    assert not proc.fastpath_enabled
-    proc.detach_hook(first)
-    assert not proc.fastpath_enabled  # one hook still attached
-    proc.detach_hook(second)
-    assert proc.fastpath_enabled
-    proc, _ = _run(proc)
-    assert proc.fast_forwarded_cycles > 0
-
-
-def test_observer_recorder_disables_skipping(monkeypatch):
-    """The observability recorder rides the same hook seam, so attaching
-    it must disable the skipper like a tracer/sanitizer — and detaching
-    it must bring the fast path back."""
-    from repro.obs import attach_observer, detach_observer
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    proc = _processor()
-    recorder = attach_observer(proc)
-    assert not proc.fastpath_enabled
-    detach_observer(proc, recorder)
-    assert proc.fastpath_enabled
-    proc, _ = _run(proc)
-    assert proc.fast_forwarded_cycles > 0
-
-
 def test_observed_result_matches_fastpath_result(monkeypatch):
-    """Observer bit-invisibility composed with fast-path equivalence."""
-    from repro.obs import attach_observer
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
     fast_proc, fast_result = _run(_processor())
     observed_proc = _processor()
     attach_observer(observed_proc)
     observed_proc, observed_result = _run(observed_proc)
     assert fast_proc.fast_forwarded_cycles > 0
-    assert observed_proc.fast_forwarded_cycles == 0
+    assert observed_proc.fast_forwarded_cycles > 0
     assert fast_result.to_dict() == observed_result.to_dict()
 
 
 def test_sanitized_result_matches_fastpath_result(monkeypatch):
-    """Even though the sanitizer forces plain stepping, the simulated
-    outcome equals the fast-forwarded run (fastpath equivalence composed
-    with sanitizer bit-invisibility)."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
     fast_proc, fast_result = _run(_processor())
     sanitized_proc = _processor()
     attach_sanitizer(sanitized_proc)
     sanitized_proc, sanitized_result = _run(sanitized_proc)
     assert fast_proc.fast_forwarded_cycles > 0
-    assert sanitized_proc.fast_forwarded_cycles == 0
+    assert sanitized_proc.fast_forwarded_cycles > 0
     assert fast_result.to_dict() == sanitized_result.to_dict()
