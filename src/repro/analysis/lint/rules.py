@@ -16,7 +16,7 @@ REPRO002    no ``random`` module inside ``sim/``/``lsq/``/``core/``
 REPRO003    no iteration over ``set``s inside the deterministic zone
             (iteration order is not reproducible across processes)
 REPRO004    no string-keyed ``CounterSet.bump`` in hot-path functions
-            (use :class:`repro.stats.counters.HotCounters` slots)
+            (tally in locals and fold once after the loop)
 REPRO005    no growable-collection allocation in hot-path functions
             (comprehensions, ``list()``/``dict()``/``set()``, empty
             displays, lambdas)
@@ -258,12 +258,13 @@ class NoHotPathBumpRule(Rule):
 
     ``CounterSet.bump`` hashes a string and touches a defaultdict on every
     call; on per-cycle/per-event paths that cost is measurable.  Hot paths
-    increment pre-bound :class:`repro.stats.counters.HotCounters` slots and
-    fold them into the ``CounterSet`` once, at result-build time.
+    tally in local integers and fold them into the ``CounterSet`` once,
+    after the loop, from a function outside the hot catalogue
+    (``SoaKernel._fold_counters``).
     """
 
     rule_id = "REPRO004"
-    summary = "no CounterSet.bump in hot-path functions (use HotCounters)"
+    summary = "no CounterSet.bump in hot-path functions (tally in locals)"
 
     def check(self, file: SourceFile, context: dict) -> Iterator[LintViolation]:
         hot = _hot_functions_for(file.path)
@@ -279,7 +280,7 @@ class NoHotPathBumpRule(Rule):
                     yield self.violation(
                         file, node,
                         f"string-keyed bump() inside hot function {qualname}; "
-                        f"use a HotCounters slot")
+                        f"tally in a local and fold it once after the loop")
 
 
 class NoHotPathAllocationRule(Rule):

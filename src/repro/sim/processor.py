@@ -50,7 +50,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.sim.soa import SoaKernel
-from repro.stats.counters import CounterSet, HotCounters
+from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
 #: Environment escape hatch: set to any non-empty value to force every
@@ -99,7 +99,6 @@ class Processor:
         self.cycle = 0
         self.committed = 0
         self.counters = CounterSet()
-        self.hot = HotCounters()
         self._checking_cycles = 0
         #: Idle cycles jumped over by the fast path (diagnostic only —
         #: deliberately NOT a counter, so results stay bit-identical with
@@ -204,7 +203,6 @@ class Processor:
     # Results
     # ==================================================================
     def _build_result(self) -> SimulationResult:
-        self.hot.fold_into(self.counters)
         self.counters["cycles"] = self.cycle
         self.counters["checking.cycles_observed"] = self._checking_cycles
         kernel = self.kernel

@@ -313,7 +313,7 @@ class SoaKernel:
         self.replay_streak: Dict[int, int] = {}
         self.force_nonspec: Set[int] = set()
 
-        # Cold-path counters folded into HotCounters at the end.
+        # Cold-path tallies, folded into the counters after the loop.
         self.n_squash = 0
         self.n_guard_trips = 0
         self.n_gt_violations = 0
@@ -522,7 +522,7 @@ class SoaKernel:
         ff_cycles = 0
         checking_cycles = 0
 
-        # --- hot counters as locals (folded into HotCounters below) ----
+        # --- hot counters as locals (folded by _fold_counters below) ---
         n_replays = n_replays_commit = n_replays_exec = n_replays_coh = 0
         n_commit = n_commit_loads = n_commit_safe = n_commit_stores = 0
         n_commit_branches = n_reexec = 0
@@ -1155,50 +1155,51 @@ class SoaKernel:
 
         # ===== fold state and counters back into the processor ==========
         self._sync(cycle, committed, checking_cycles, ff_cycles)
-        hot = p.hot
-        hot.replays += n_replays
-        hot.replays_commit_time += n_replays_commit
-        hot.replays_execution_time += n_replays_exec
-        hot.replays_coherence += n_replays_coh
-        hot.inv_injected += n_inv
-        hot.commit_instructions += n_commit
-        hot.commit_loads += n_commit_loads
-        hot.commit_safe_loads += n_commit_safe
-        hot.commit_stores += n_commit_stores
-        hot.commit_branches += n_commit_branches
-        hot.dcache_reexecutions += n_reexec
-        hot.regfile_writes += n_regw
-        hot.regfile_reads += n_regr
-        hot.iq_wakeups += n_wakeups
-        hot.branch_mispredicts += n_mispredicts
-        hot.branch_misfetches += n_misfetches
-        hot.issue_instructions += n_issue
-        hot.issue_loads += n_issue_loads
-        hot.issue_stores += n_issue_stores
-        hot.fu_ops += n_fu
-        hot.sq_searches += n_sq_search
-        hot.load_rejections += n_rejections
-        hot.load_safe_at_issue += n_safe_at_issue
-        hot.load_forwarded += n_forwarded
-        hot.dcache_reads += n_dreads
-        hot.groundtruth_violations += self.n_gt_violations
-        hot.storesets_load_delays += n_ss_delays
-        hot.stall_rob_full += n_stall_rob
-        hot.stall_iq_full += n_stall_iq
-        hot.stall_lq_full += n_stall_lq
-        hot.stall_sq_full += n_stall_sq
-        hot.stall_regs_full += n_stall_regs
-        hot.lq_writes += n_lq_writes
-        hot.sq_writes += n_sq_writes
-        hot.rename_ops += n_rename
-        hot.rob_writes += n_rob_writes
-        hot.fetch_stall_cycles += n_fetch_stall
-        hot.fetch_instructions += n_fetch
-        hot.fetch_icache_miss += n_icache_miss
-        hot.icache_reads += n_icache_reads
-        hot.bpred_lookups += n_bpred
-        hot.squash_instructions += self.n_squash
-        hot.replay_guard_trips += self.n_guard_trips
+        self._fold_counters({
+            "replays": n_replays,
+            "replays.commit_time": n_replays_commit,
+            "replays.execution_time": n_replays_exec,
+            "replays.coherence": n_replays_coh,
+            "commit.instructions": n_commit,
+            "commit.loads": n_commit_loads,
+            "commit.safe_loads": n_commit_safe,
+            "commit.stores": n_commit_stores,
+            "commit.branches": n_commit_branches,
+            "dcache.reexecutions": n_reexec,
+            "regfile.writes": n_regw,
+            "regfile.reads": n_regr,
+            "iq.wakeups": n_wakeups,
+            "branch.mispredicts": n_mispredicts,
+            "branch.misfetches": n_misfetches,
+            "issue.instructions": n_issue,
+            "issue.loads": n_issue_loads,
+            "issue.stores": n_issue_stores,
+            "fu.ops": n_fu,
+            "sq.searches": n_sq_search,
+            "load.rejections": n_rejections,
+            "load.safe_at_issue": n_safe_at_issue,
+            "load.forwarded": n_forwarded,
+            "dcache.reads": n_dreads,
+            "groundtruth.violations": self.n_gt_violations,
+            "storesets.load_delays": n_ss_delays,
+            "stall.rob_full": n_stall_rob,
+            "stall.iq_full": n_stall_iq,
+            "stall.lq_full": n_stall_lq,
+            "stall.sq_full": n_stall_sq,
+            "stall.regs_full": n_stall_regs,
+            "lq.writes": n_lq_writes,
+            "sq.writes": n_sq_writes,
+            "rename.ops": n_rename,
+            "rob.writes": n_rob_writes,
+            "fetch.stall_cycles": n_fetch_stall,
+            "fetch.instructions": n_fetch,
+            "fetch.icache_miss": n_icache_miss,
+            "icache.reads": n_icache_reads,
+            "bpred.lookups": n_bpred,
+            "squash.instructions": self.n_squash,
+            "replay.guard_trips": self.n_guard_trips,
+            "inv.injected": n_inv,
+        })
         self.sq_searches += n_sq_search
         self.sq_searches_filtered += n_sq_filtered
 
@@ -1212,6 +1213,17 @@ class SoaKernel:
         p.fast_forwarded_cycles += ff_cycles
         self.cycle = cycle
         self.committed = committed
+
+    def _fold_counters(self, tallies: Dict[str, int]) -> None:
+        """Add the run's non-zero tallies into ``Processor.counters``.
+
+        The cycle loop counts in locals; this is the one place they become
+        named counters, once per run, so it may bump by name.
+        """
+        counters = self.p.counters
+        for name, value in tallies.items():
+            if value:
+                counters.bump(name, value)
 
     def release(self) -> None:
         """Drop the back-references of a finished run.
