@@ -220,42 +220,40 @@ def _engine_options(args):
 
 
 def cmd_experiment_all(args, engine) -> int:
-    from repro.exec import plan_experiments, union_requests, use_engine
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import EXPERIMENTS, run_experiments
 
     start = time.perf_counter()
-    plans = plan_experiments(budget=args.budget)
-    union = union_requests(plans)
-    planned = sum(len(plan.requests) for plan in plans)
-    print(f"engine: {planned} design points across {len(plans)} experiments "
-          f"-> {len(union)} unique ({planned - len(union)} duplicates folded)",
-          file=sys.stderr)
+
+    def announce(planned: int, unique: int) -> None:
+        print(f"engine: {planned} design points across {len(EXPERIMENTS)} experiments "
+              f"-> {unique} unique ({planned - unique} duplicates folded)",
+              file=sys.stderr)
 
     before = dict(engine.stats.summary())
+    kwargs = {"budget": args.budget} if args.budget else {}
     engine.progress = _engine_progress
     try:
-        engine.run(union)
+        artifacts = run_experiments(list(EXPERIMENTS), engine=engine,
+                                    on_plan=announce, **kwargs)
     finally:
         engine.progress = None
     sweep_wall = time.perf_counter() - start
 
-    with use_engine(engine):
-        for plan in plans:
-            kwargs = {"budget": args.budget} if args.budget else {}
-            _, text = run_experiment(plan.id, **kwargs)
-            print(text)
-            print()
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, f"{plan.id}.txt"), "w") as fh:
-                    fh.write(text + "\n")
+    for artifact in artifacts:
+        print(artifact.text)
+        print()
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, f"{artifact.id}.txt"), "w") as fh:
+                fh.write(artifact.text + "\n")
     if args.out:
-        print(f"wrote {len(plans)} artifacts to {args.out}", file=sys.stderr)
+        print(f"wrote {len(artifacts)} artifacts to {args.out}", file=sys.stderr)
 
     after = engine.stats.summary()
     executed = int(after["executed"] - before["executed"])
     disk_hits = int(after["disk_hits"] - before["disk_hits"])
-    hit_rate = 100.0 * disk_hits / len(union) if union else 0.0
+    unique = int(after["unique"] - before["unique"])
+    hit_rate = 100.0 * disk_hits / unique if unique else 0.0
     print(f"engine: {disk_hits} disk cache hits, {executed} simulated; "
           f"cache hit rate {hit_rate:.1f}%; sweep {sweep_wall:.1f}s, "
           f"total {time.perf_counter() - start:.1f}s", file=sys.stderr)
@@ -263,8 +261,8 @@ def cmd_experiment_all(args, engine) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.exec import get_engine, use_engine
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
+    from repro.exec import get_engine
+    from repro.experiments.registry import EXPERIMENTS, run_experiments
     if args.list or (not args.id and not args.all):
         for exp in EXPERIMENTS.values():
             print(f"  {exp.id:16s} {exp.paper_artifact}")
@@ -278,9 +276,8 @@ def cmd_experiment(args) -> int:
     kwargs = {}
     if args.budget:
         kwargs["budget"] = args.budget
-    with use_engine(engine):
-        _, text = run_experiment(args.id, **kwargs)
-    print(text)
+    artifact, = run_experiments([args.id], engine=engine, **kwargs)
+    print(artifact.text)
     return 0
 
 
@@ -386,13 +383,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-#: Schemes that filter associative LQ searches by age: a sanitized run of
-#: one of these must show *some* filtering activity, or the sweep proved
-#: nothing about the mechanism under test.
-_FILTERING_SCHEMES = frozenset(
-    {"yla", "bloom", "dmdc", "dmdc-local", "dmdc-queue8"})
-
-
 def _lint_payload(violations, rules) -> dict:
     """JSON shape for one lint pass: findings plus per-rule accounting.
 
@@ -414,7 +404,8 @@ def cmd_check(args) -> int:
     from repro.analysis.conc import CONC_RULES, conc_rule_catalogue
     from repro.analysis.lint import format_violations, lint_paths, rule_catalogue
     from repro.analysis.lint.rules import RULES
-    from repro.analysis.sanitizer import SCHEME_MATRIX, run_sanitized
+    from repro.analysis.sanitizer import FILTERING_SCHEMES, SCHEME_MATRIX, sanitize_sweep
+    from repro.errors import ConfigError
 
     if args.list_rules:
         print(rule_catalogue())
@@ -446,35 +437,24 @@ def cmd_check(args) -> int:
         failed = failed or bool(violations)
 
     if do_sanitize:
-        schemes = args.scheme or sorted(SCHEME_MATRIX)
-        unknown = [s for s in schemes if s not in SCHEME_MATRIX]
-        if unknown:
-            print(f"unknown scheme(s) {', '.join(unknown)}; choose from "
-                  f"{', '.join(sorted(SCHEME_MATRIX))}", file=sys.stderr)
-            return 2
-        workloads = args.workload or ["gzip", "mcf"]
+        sweep = sanitize_sweep(
+            CONFIGS[args.config], args.scheme or sorted(SCHEME_MATRIX),
+            args.workload or ["gzip", "mcf"], args.instructions,
+            seed=args.seed, strict=args.strict)
         reports = []
-        for workload_name in workloads:
-            trace = get_workload(workload_name).generate(
-                args.instructions + 2_000)
-            for label in schemes:
-                config = CONFIGS[args.config].with_scheme(SCHEME_MATRIX[label])
-                result, report = run_sanitized(
-                    config, trace, max_instructions=args.instructions,
-                    seed=args.seed, strict=args.strict)
-                filtered = (result.counters["lq.searches_filtered"]
-                            + result.counters["stores.safe"])
-                inactive = label in _FILTERING_SCHEMES and filtered == 0
-                ok = report.clean and not inactive
-                failed = failed or not ok
-                entry = report.as_dict()
-                entry.update(workload=workload_name, label=label,
-                             filtered_searches=int(filtered), ok=ok)
+        try:
+            for entry, report in sweep:
+                failed = failed or not entry["ok"]
                 reports.append(entry)
                 if not args.json:
+                    inactive = (entry["label"] in FILTERING_SCHEMES
+                                and entry["filtered_searches"] == 0)
                     note = " [NO FILTERING ACTIVITY]" if inactive else ""
-                    print(f"{workload_name:>8s}/{label:<12s} "
+                    print(f"{entry['workload']:>8s}/{entry['label']:<12s} "
                           f"{report.format()}{note}")
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         payload["sanitize"] = reports
 
     if args.json:

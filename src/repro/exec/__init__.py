@@ -1,6 +1,7 @@
 """Shared execution engine: canonical run requests, a content-addressed
-disk result cache, and a deduplicating planner/executor that every
-experiment runs through (see :mod:`repro.experiments.common`)."""
+disk result cache, and a deduplicating executor that every experiment,
+sweep and service request runs through (experiments enter through
+:func:`repro.experiments.registry.run_experiments`)."""
 
 from repro.exec.cache import ResultCache, default_cache, default_cache_dir
 from repro.exec.engine import (
@@ -13,12 +14,6 @@ from repro.exec.engine import (
     worker_count,
 )
 from repro.exec.options import EngineOptions
-from repro.exec.planner import (
-    PlannedExperiment,
-    plan_experiments,
-    run_all,
-    union_requests,
-)
 from repro.exec.request import CACHE_SCHEMA_VERSION, RunRequest, simulator_fingerprint
 
 __all__ = [
@@ -26,18 +21,14 @@ __all__ = [
     "EngineOptions",
     "EngineStats",
     "ExecutionEngine",
-    "PlannedExperiment",
     "ResultCache",
     "RunRequest",
     "default_cache",
     "default_cache_dir",
     "get_engine",
-    "plan_experiments",
-    "run_all",
     "set_engine",
     "shutdown_engine",
     "simulator_fingerprint",
-    "union_requests",
     "use_engine",
     "worker_count",
 ]

@@ -1,30 +1,19 @@
 """One experiment module per table/figure of the paper's evaluation.
 
-Every module exposes a ``run_*`` function returning a plain dict of rows
-(JSON-friendly) and a ``render(data) -> str`` producing the same table the
-paper prints.  The benchmark harness under ``benchmarks/`` is a thin
-wrapper around these functions; EXPERIMENTS.md records paper-vs-measured
-for each one.
+Every module declares its labelled design points once (``points``),
+turns their results into a plain dict of rows (``analyze``), and renders
+the same table the paper prints (``render``).
+:func:`repro.experiments.registry.run_experiments` is the one path that
+plans, simulates and renders them; the benchmark harness under
+``benchmarks/`` is a thin wrapper around it, and EXPERIMENTS.md records
+paper-vs-measured for each artifact.
 """
 
-from repro.experiments.common import (
-    group_means,
-    plan_suite,
-    plan_suite_many,
-    run_point,
-    run_requests,
-    run_suite,
-    run_suite_many,
-    suite_workloads,
-)
+from repro.experiments.common import by_group, mean, suite, suite_workloads
 
 __all__ = [
-    "group_means",
-    "plan_suite",
-    "plan_suite_many",
-    "run_point",
-    "run_requests",
-    "run_suite",
-    "run_suite_many",
+    "by_group",
+    "mean",
+    "suite",
     "suite_workloads",
 ]

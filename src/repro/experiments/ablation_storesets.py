@@ -10,60 +10,48 @@ prediction should be a wash on (a) and suppress most true replays on (b).
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_point, plan_suite_many, run_point, run_suite_many
+from repro.exec.request import RunRequest
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.runner import instruction_budget
 from repro.stats.report import format_table
-from repro.workloads import SyntheticWorkload, WorkloadSpec
+from repro.workloads import WorkloadSpec
 
-
-def _stress_workload() -> SyntheticWorkload:
-    return SyntheticWorkload(WorkloadSpec(
-        name="alias-stress", conflict_per_kinstr=5.0,
-        store_addr_dep_load=0.2, rmw_fraction=0.15, seed=41,
-    ))
-
+STRESS = WorkloadSpec(
+    name="alias-stress", conflict_per_kinstr=5.0,
+    store_addr_dep_load=0.2, rmw_fraction=0.15, seed=41,
+)
 
 _VARIANTS = (("off", SchemeConfig(kind="dmdc")),
              ("on", SchemeConfig(kind="dmdc", store_sets=True)))
 
 
-def _sweep(config=CONFIG2) -> Dict:
-    return {variant: config.with_scheme(scheme) for variant, scheme in _VARIANTS}
-
-
-def plan_ablation_storesets(budget: Optional[int] = None, config=CONFIG2):
-    budget = budget if budget is not None else instruction_budget()
-    requests = plan_suite_many(_sweep(config), budget=budget)
-    stress = _stress_workload()
-    for _, scheme in _VARIANTS:
-        requests.append(plan_point(config.with_scheme(scheme), stress, budget=budget))
-    return requests
-
-
-def run_ablation_storesets(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def points(budget: Optional[int] = None, config=CONFIG2) -> Points:
     """DMDC with/without store-set prediction, suite + stress workload."""
     budget = budget if budget is not None else instruction_budget()
-    sweeps = run_suite_many(_sweep(config), budget=budget)
+    out = suite({variant: config.with_scheme(scheme) for variant, scheme in _VARIANTS},
+                budget)
+    for variant, scheme in _VARIANTS:
+        out[f"stress:{variant}"] = {
+            STRESS.name: RunRequest(config.with_scheme(scheme), STRESS, budget)}
+    return out
+
+
+def analyze(sweeps: Sweeps, **_) -> Dict:
     rows = []
-    for variant in ("off", "on"):
-        groups: Dict[str, Dict[str, list]] = {}
-        for result in sweeps[variant].values():
-            bucket = groups.setdefault(result.group, {"true": [], "slow": []})
-            bucket["true"].append(result.per_minstr("replay.true"))
-        for group, bucket in sorted(groups.items()):
-            n = len(bucket["true"])
+    for variant, _scheme in _VARIANTS:
+        groups = by_group(sweeps[variant],
+                          lambda name, r: {"true": r.per_minstr("replay.true")})
+        for group, g in sorted(groups.items()):
             rows.append({
                 "workload": f"suite-{group}",
                 "store_sets": variant,
-                "true_replays": sum(bucket["true"]) / n,
+                "true_replays": mean(g["true"]),
             })
-    # Engineered stress case.
-    stress = _stress_workload()
-    for variant, scheme in _VARIANTS:
-        result = run_point(config.with_scheme(scheme), stress, budget=budget)
+    for variant, _scheme in _VARIANTS:
+        result = sweeps[f"stress:{variant}"][STRESS.name]
         rows.append({
-            "workload": "alias-stress",
+            "workload": STRESS.name,
             "store_sets": variant,
             "true_replays": result.per_minstr("replay.true"),
         })

@@ -9,45 +9,36 @@ table sizes to verify the saturation.
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 TABLE_SIZES = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def _sweep(sizes=TABLE_SIZES, config=CONFIG2) -> Dict:
-    return {
+def points(budget: Optional[int] = None, sizes=TABLE_SIZES, config=CONFIG2) -> Points:
+    """The checking-table size under global DMDC."""
+    return suite({
         f"size:{size}": config.with_scheme(SchemeConfig(kind="dmdc", table_entries=size))
         for size in sizes
+    }, budget)
+
+
+def _sample(name, result) -> Dict[str, float]:
+    return {
+        "false": result.false_replays_per_minstr,
+        "hash": (result.per_minstr("replay.false.hash.before")
+                 + result.per_minstr("replay.false.hash.X")
+                 + result.per_minstr("replay.false.hash.Y")),
     }
 
 
-def plan_ablation_table_size(budget: Optional[int] = None, sizes=TABLE_SIZES,
-                             config=CONFIG2):
-    return plan_suite_many(_sweep(sizes, config), budget=budget)
-
-
-def run_ablation_table_size(budget: Optional[int] = None, sizes=TABLE_SIZES,
-                            config=CONFIG2) -> Dict:
-    """Sweep the checking-table size under global DMDC."""
-    sweeps = run_suite_many(_sweep(sizes, config), budget=budget)
+def analyze(sweeps: Sweeps, sizes=TABLE_SIZES, **_) -> Dict:
     rows = []
     for size in sizes:
-        groups: Dict[str, Dict[str, list]] = {}
-        for result in sweeps[f"size:{size}"].values():
-            bucket = groups.setdefault(result.group, {"false": [], "hash": []})
-            bucket["false"].append(result.false_replays_per_minstr)
-            hash_part = (
-                result.per_minstr("replay.false.hash.before")
-                + result.per_minstr("replay.false.hash.X")
-                + result.per_minstr("replay.false.hash.Y")
-            )
-            bucket["hash"].append(hash_part)
-        for group, bucket in sorted(groups.items()):
-            n = len(bucket["false"])
-            total = sum(bucket["false"]) / n
-            hash_rate = sum(bucket["hash"]) / n
+        for group, g in sorted(by_group(sweeps[f"size:{size}"], _sample).items()):
+            total = mean(g["false"])
+            hash_rate = mean(g["hash"])
             rows.append({
                 "size": size,
                 "group": group,

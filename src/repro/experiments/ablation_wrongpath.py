@@ -10,44 +10,35 @@ codes (more mispredictions) — evidence that the reset remedy matters.
 
 from typing import Dict, Optional
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 INTENSITIES = (0.0, 1.0, 4.0, 8.0)
 
 
-def _sweep(intensities=INTENSITIES, config=CONFIG2) -> Dict:
+def points(budget: Optional[int] = None, intensities=INTENSITIES, config=CONFIG2) -> Points:
+    """Wrong-path load intensity under 8-register YLA filtering."""
     scheme = SchemeConfig(kind="yla", yla_registers=8)
     sweep = {}
-    for mean in intensities:
-        cfg = config.with_scheme(scheme).with_overrides(
-            wrongpath_loads=mean > 0, wrongpath_mean_loads=max(mean, 0.1)
+    for loads in intensities:
+        sweep[f"wp:{loads}"] = config.with_scheme(scheme).with_overrides(
+            wrongpath_loads=loads > 0, wrongpath_mean_loads=max(loads, 0.1)
         )
-        sweep[f"wp:{mean}"] = cfg
-    return sweep
+    return suite(sweep, budget)
 
 
-def plan_ablation_wrongpath(budget: Optional[int] = None, intensities=INTENSITIES,
-                            config=CONFIG2):
-    return plan_suite_many(_sweep(intensities, config), budget=budget)
-
-
-def run_ablation_wrongpath(budget: Optional[int] = None, intensities=INTENSITIES,
-                           config=CONFIG2) -> Dict:
-    """Sweep wrong-path load intensity under 8-register YLA filtering."""
-    sweeps = run_suite_many(_sweep(intensities, config), budget=budget)
+def analyze(sweeps: Sweeps, intensities=INTENSITIES, **_) -> Dict:
     rows = []
-    for mean in intensities:
-        summary = group_means(
-            sweeps[f"wp:{mean}"], lambda r: 100.0 * r.safe_store_fraction
-        )
-        for group, stats in sorted(summary.items()):
+    for loads in intensities:
+        groups = by_group(sweeps[f"wp:{loads}"],
+                          lambda name, r: {"filtered": 100.0 * r.safe_store_fraction})
+        for group, g in sorted(groups.items()):
             rows.append({
-                "intensity": mean,
+                "intensity": loads,
                 "group": group,
-                "filtered_mean": stats["mean"],
-                "filtered_min": stats["min"],
+                "filtered_mean": mean(g["filtered"]),
+                "filtered_min": min(g["filtered"]),
             })
     return {"experiment": "ablation_wrongpath", "rows": rows}
 

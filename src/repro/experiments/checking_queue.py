@@ -8,45 +8,37 @@ overflow replays.
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 QUEUE_SIZES = (4, 8, 16, 32)
 
 
-def _sweep(queue_sizes=QUEUE_SIZES, config=CONFIG2) -> Dict:
+def points(budget: Optional[int] = None, queue_sizes=QUEUE_SIZES, config=CONFIG2) -> Points:
+    """Hash table (2K) vs associative queues of several sizes."""
     sweep = {"table": config.with_scheme(SchemeConfig(kind="dmdc"))}
     for size in queue_sizes:
         sweep[f"queue:{size}"] = config.with_scheme(
             SchemeConfig(kind="dmdc", checking_queue_entries=size)
         )
-    return sweep
+    return suite(sweep, budget)
 
 
-def plan_checking_queue(budget: Optional[int] = None, queue_sizes=QUEUE_SIZES,
-                        config=CONFIG2):
-    return plan_suite_many(_sweep(queue_sizes, config), budget=budget)
+def _sample(name, result) -> Dict[str, float]:
+    return {"false": result.false_replays_per_minstr,
+            "overflow": result.per_minstr("replay.overflow")}
 
 
-def run_checking_queue(budget: Optional[int] = None, queue_sizes=QUEUE_SIZES,
-                       config=CONFIG2) -> Dict:
-    """Replay rates: hash table (2K) vs associative queues of several sizes."""
-    sweeps = run_suite_many(_sweep(queue_sizes, config), budget=budget)
+def analyze(sweeps: Sweeps, **_) -> Dict:
     rows = []
     for key, results in sweeps.items():
-        groups: Dict[str, list] = {}
-        overflow: Dict[str, list] = {}
-        for result in results.values():
-            groups.setdefault(result.group, []).append(result.false_replays_per_minstr)
-            overflow.setdefault(result.group, []).append(result.per_minstr("replay.overflow"))
-        for group in sorted(groups):
-            vals = groups[group]
+        for group, g in sorted(by_group(results, _sample).items()):
             rows.append({
                 "backend": key,
                 "group": group,
-                "false_replays": sum(vals) / len(vals),
-                "overflow_replays": sum(overflow[group]) / len(overflow[group]),
+                "false_replays": mean(g["false"]),
+                "overflow_replays": mean(g["overflow"]),
             })
     return {"experiment": "checking_queue", "rows": rows}
 

@@ -1,11 +1,12 @@
-"""Shared experiment machinery, built on the execution engine.
+"""Shared experiment machinery: labelled suite points and group averages.
 
-Experiments run the whole 26-workload suite for each design point.  The
-helpers here only *plan* — they turn (configs, workloads, budget, seed)
-into canonical :class:`~repro.exec.RunRequest`s — and hand the batch to
-the process-wide :class:`~repro.exec.ExecutionEngine`, which dedupes
-repeated design points, serves previously-simulated ones from its disk
-cache, and fans the rest out across one persistent process pool.
+Experiments run the whole 26-workload suite for each design point.  A
+module names its points once, as ``{label: {workload: RunRequest}}``
+(:func:`suite` builds that shape for a set of labelled configurations);
+:mod:`repro.experiments.registry` runs the union of every requested
+experiment's points through the process-wide
+:class:`~repro.exec.ExecutionEngine` in one batch and hands each module
+the results in the same shape.
 
 Knobs: worker count, cache location, and cache enablement are fields of
 :class:`repro.exec.EngineOptions` (their environment-variable defaults
@@ -14,17 +15,19 @@ are documented — and read — only in :mod:`repro.exec.options`);
 """
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.exec.engine import ExecutionEngine, get_engine
 from repro.exec.request import RunRequest
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.sim.runner import instruction_budget
-from repro.workloads import FP_WORKLOADS, INT_WORKLOADS, SyntheticWorkload, WorkloadSpec
+from repro.workloads import FP_WORKLOADS, INT_WORKLOADS
 
-#: Anything the planning helpers accept as a workload identity.
-WorkloadLike = Union[str, WorkloadSpec, SyntheticWorkload]
+#: ``{label: {workload name: request}}`` — one experiment's design points.
+Points = Dict[str, Dict[str, RunRequest]]
+#: The same shape with each request replaced by its result.
+Sweeps = Dict[str, Dict[str, SimulationResult]]
 
 
 def suite_workloads() -> List[str]:
@@ -38,110 +41,38 @@ def suite_workloads() -> List[str]:
     return INT_WORKLOADS + FP_WORKLOADS
 
 
-def _workload_id(workload: WorkloadLike) -> Union[str, WorkloadSpec]:
-    if isinstance(workload, SyntheticWorkload):
-        return workload.spec
-    return workload
-
-
-# -- planning ------------------------------------------------------------
-def plan_point(config: MachineConfig, workload: WorkloadLike,
-               budget: Optional[int] = None, seed: int = 1) -> RunRequest:
-    """Canonical request for one (config, workload) design point."""
-    budget = budget if budget is not None else instruction_budget()
-    return RunRequest(config, _workload_id(workload), budget, seed)
-
-
-def plan_suite(config: MachineConfig,
-               budget: Optional[int] = None,
-               workloads: Optional[Iterable[str]] = None,
-               seed: int = 1) -> List[RunRequest]:
-    """Requests for every suite workload on ``config``."""
+def suite(configs: Dict[str, MachineConfig], budget: Optional[int] = None,
+          workloads: Optional[Sequence[str]] = None, seed: int = 1) -> Points:
+    """Every suite workload under each labelled configuration."""
     names = list(workloads) if workloads is not None else suite_workloads()
     budget = budget if budget is not None else instruction_budget()
-    return [RunRequest(config, name, budget, seed) for name in names]
+    return {
+        label: {name: RunRequest(config, name, budget, seed) for name in names}
+        for label, config in configs.items()
+    }
 
 
-def plan_suite_many(configs: Dict[str, MachineConfig],
-                    budget: Optional[int] = None,
-                    workloads: Optional[Iterable[str]] = None,
-                    seed: int = 1) -> List[RunRequest]:
-    """Requests for the suite under several configurations, config-major."""
-    names = list(workloads) if workloads is not None else suite_workloads()
-    budget = budget if budget is not None else instruction_budget()
-    return [
-        RunRequest(config, name, budget, seed)
-        for config in configs.values()
-        for name in names
-    ]
+def by_group(results: Dict[str, SimulationResult],
+             sample: Callable[[str, SimulationResult], Optional[Dict[str, float]]],
+             ) -> Dict[str, Dict[str, List[float]]]:
+    """Per-workload metric samples bucketed by INT/FP group.
 
-
-# -- execution -----------------------------------------------------------
-def run_requests(requests: List[RunRequest],
-                 engine: Optional[ExecutionEngine] = None) -> List[SimulationResult]:
-    """Execute ``requests`` through the (shared) engine, preserving order."""
-    engine = engine if engine is not None else get_engine()
-    return engine.run(requests)
-
-
-def run_point(config: MachineConfig, workload: WorkloadLike,
-              budget: Optional[int] = None, seed: int = 1) -> SimulationResult:
-    """Run a single design point through the engine (cached, deduped)."""
-    return run_requests([plan_point(config, workload, budget, seed)])[0]
-
-
-def run_suite(
-    config: MachineConfig,
-    budget: Optional[int] = None,
-    workloads: Optional[Iterable[str]] = None,
-    seed: int = 1,
-) -> Dict[str, SimulationResult]:
-    """Run every suite workload on ``config``; returns results by name."""
-    requests = plan_suite(config, budget=budget, workloads=workloads, seed=seed)
-    results = run_requests(requests)
-    return {request.workload_name: result for request, result in zip(requests, results)}
-
-
-def run_suite_many(
-    configs: Dict[str, MachineConfig],
-    budget: Optional[int] = None,
-    workloads: Optional[Iterable[str]] = None,
-    seed: int = 1,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run the suite under several configurations in one engine batch.
-
-    Flattens (config, workload) pairs so parallelism covers the whole
-    sweep, not just one configuration at a time.
+    ``sample(name, result)`` returns one workload's metric values, or
+    ``None`` to leave the workload out.  Groups keep first-seen order and
+    each metric keeps workload order, so :func:`mean`, ``min`` and
+    ``max`` over a bucket fold the values in suite order.
     """
-    names = list(workloads) if workloads is not None else suite_workloads()
-    requests = plan_suite_many(configs, budget=budget, workloads=names, seed=seed)
-    results = run_requests(requests)
-    out: Dict[str, Dict[str, SimulationResult]] = {}
-    i = 0
-    for key in configs:
-        out[key] = {}
-        for name in names:
-            out[key][name] = results[i]
-            i += 1
-    return out
-
-
-def group_means(
-    results: Dict[str, SimulationResult],
-    metric: Callable[[SimulationResult], float],
-) -> Dict[str, Dict[str, float]]:
-    """Apply ``metric`` per workload and aggregate to INT/FP mean/min/max."""
-    groups: Dict[str, List[float]] = {"INT": [], "FP": []}
-    for result in results.values():
-        groups.setdefault(result.group, []).append(metric(result))
-    out = {}
-    for group, vals in groups.items():
-        if not vals:
+    groups: Dict[str, Dict[str, List[float]]] = {}
+    for name, result in results.items():
+        values = sample(name, result)
+        if values is None:
             continue
-        out[group] = {
-            "mean": sum(vals) / len(vals),
-            "min": min(vals),
-            "max": max(vals),
-            "n": len(vals),
-        }
-    return out
+        bucket = groups.setdefault(result.group, defaultdict(list))
+        for metric, value in values.items():
+            bucket[metric].append(value)
+    return groups
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, 0.0 for no values."""
+    return sum(values) / len(values) if values else 0.0

@@ -8,7 +8,7 @@ roughly match 4 quad-word ones).
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -16,37 +16,30 @@ REGISTER_COUNTS = (1, 2, 4, 8, 16)
 GRANULARITIES = {"quad-word": 8, "cache-line": 128}
 
 
-def _sweep(register_counts=REGISTER_COUNTS) -> Dict:
+def points(budget: Optional[int] = None, register_counts=REGISTER_COUNTS) -> Points:
+    """YLA register count x interleaving over the full suite."""
     configs = {}
     for label, gran in GRANULARITIES.items():
         for n in register_counts:
             scheme = SchemeConfig(kind="yla", yla_registers=n, yla_granularity=gran)
             configs[f"{label}:{n}"] = CONFIG2.with_scheme(scheme)
-    return configs
+    return suite(configs, budget)
 
 
-def plan_fig2(budget: Optional[int] = None, register_counts=REGISTER_COUNTS):
-    return plan_suite_many(_sweep(register_counts), budget=budget)
-
-
-def run_fig2(budget: Optional[int] = None, register_counts=REGISTER_COUNTS) -> Dict:
-    """Sweep YLA register count x interleaving over the full suite."""
-    sweeps = run_suite_many(_sweep(register_counts), budget=budget)
+def analyze(sweeps: Sweeps, **_) -> Dict:
     rows: List[Dict] = []
-    for label, gran in GRANULARITIES.items():
-        for n in register_counts:
-            summary = group_means(
-                sweeps[f"{label}:{n}"], lambda r: 100.0 * r.safe_store_fraction
-            )
-            for group, stats in summary.items():
-                rows.append({
-                    "interleaving": label,
-                    "registers": n,
-                    "group": group,
-                    "filtered_mean": stats["mean"],
-                    "filtered_min": stats["min"],
-                    "filtered_max": stats["max"],
-                })
+    for key, results in sweeps.items():
+        label, n = key.split(":")
+        groups = by_group(results, lambda name, r: {"filtered": 100.0 * r.safe_store_fraction})
+        for group, g in groups.items():
+            rows.append({
+                "interleaving": label,
+                "registers": int(n),
+                "group": group,
+                "filtered_mean": mean(g["filtered"]),
+                "filtered_min": min(g["filtered"]),
+                "filtered_max": max(g["filtered"]),
+            })
     return {"experiment": "fig2", "rows": rows}
 
 

@@ -7,7 +7,7 @@ age information -- an older issued load to an aliasing address defeats it.
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -15,7 +15,8 @@ BLOOM_SIZES = (32, 64, 128, 256, 512, 1024)
 YLA_COUNTS = (1, 8)
 
 
-def _sweep(bloom_sizes=BLOOM_SIZES) -> Dict:
+def points(budget: Optional[int] = None, bloom_sizes=BLOOM_SIZES) -> Points:
+    """Bloom-filter sizes against 1- and 8-register YLA filtering."""
     configs = {}
     for size in bloom_sizes:
         configs[f"bf:{size}"] = CONFIG2.with_scheme(
@@ -25,28 +26,22 @@ def _sweep(bloom_sizes=BLOOM_SIZES) -> Dict:
         configs[f"yla:{n}"] = CONFIG2.with_scheme(
             SchemeConfig(kind="yla", yla_registers=n)
         )
-    return configs
+    return suite(configs, budget)
 
 
-def plan_fig3(budget: Optional[int] = None, bloom_sizes=BLOOM_SIZES):
-    return plan_suite_many(_sweep(bloom_sizes), budget=budget)
-
-
-def run_fig3(budget: Optional[int] = None, bloom_sizes=BLOOM_SIZES) -> Dict:
-    """Sweep Bloom-filter sizes against 1- and 8-register YLA filtering."""
-    sweeps = run_suite_many(_sweep(bloom_sizes), budget=budget)
+def analyze(sweeps: Sweeps, **_) -> Dict:
     rows: List[Dict] = []
     for key, results in sweeps.items():
         kind, param = key.split(":")
-        summary = group_means(results, lambda r: 100.0 * r.safe_store_fraction)
-        for group, stats in summary.items():
+        groups = by_group(results, lambda name, r: {"filtered": 100.0 * r.safe_store_fraction})
+        for group, g in groups.items():
             rows.append({
                 "filter": "bloom" if kind == "bf" else "yla",
                 "size": int(param),
                 "group": group,
-                "filtered_mean": stats["mean"],
-                "filtered_min": stats["min"],
-                "filtered_max": stats["max"],
+                "filtered_mean": mean(g["filtered"]),
+                "filtered_min": min(g["filtered"]),
+                "filtered_max": max(g["filtered"]),
             })
     return {"experiment": "fig3", "rows": rows}
 

@@ -9,58 +9,51 @@ the LQ's share of core energy grows.
 from typing import Dict, List, Optional
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
 from repro.stats.report import format_table
 
 CONFIG_SET = {"config1": CONFIG1, "config2": CONFIG2, "config3": CONFIG3}
 
 
-def _sweep(configs: Optional[Dict] = None) -> Dict:
-    configs = configs if configs is not None else CONFIG_SET
-    sweep_configs = {}
-    for cname, config in configs.items():
-        sweep_configs[f"{cname}:base"] = config
-        sweep_configs[f"{cname}:dmdc"] = config.with_scheme(SchemeConfig(kind="dmdc"))
-    return sweep_configs
-
-
-def plan_fig4(budget: Optional[int] = None, configs: Optional[Dict] = None):
-    return plan_suite_many(_sweep(configs), budget=budget)
-
-
-def run_fig4(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Dict:
+def points(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Points:
     """Baseline vs global DMDC on each configuration, full suite."""
     configs = configs if configs is not None else CONFIG_SET
-    sweeps = run_suite_many(_sweep(configs), budget=budget)
+    sweep = {}
+    for cname, config in configs.items():
+        sweep[f"{cname}:base"] = config
+        sweep[f"{cname}:dmdc"] = config.with_scheme(SchemeConfig(kind="dmdc"))
+    return suite(sweep, budget)
+
+
+def analyze(sweeps: Sweeps, configs: Optional[Dict] = None) -> Dict:
+    configs = configs if configs is not None else CONFIG_SET
     rows: List[Dict] = []
     for cname, config in configs.items():
         model = EnergyModel(config)
-        groups = {"INT": {"lq": [], "total": [], "slow": []},
-                  "FP": {"lq": [], "total": [], "slow": []}}
-        for name, base in sweeps[f"{cname}:base"].items():
+
+        def sample(name, base):
             dmdc = sweeps[f"{cname}:dmdc"][name]
             e_base = model.evaluate(base)
             e_dmdc = model.evaluate(dmdc)
-            bucket = groups[base.group]
-            bucket["lq"].append(100.0 * (1 - e_dmdc.lq / e_base.lq))
-            bucket["total"].append(100.0 * (1 - e_dmdc.total / e_base.total))
-            bucket["slow"].append(100.0 * (dmdc.cycles / base.cycles - 1))
-        for group, bucket in groups.items():
-            if not bucket["lq"]:
-                continue
-            n = len(bucket["lq"])
+            return {
+                "lq": 100.0 * (1 - e_dmdc.lq / e_base.lq),
+                "total": 100.0 * (1 - e_dmdc.total / e_base.total),
+                "slow": 100.0 * (dmdc.cycles / base.cycles - 1),
+            }
+
+        for group, g in by_group(sweeps[f"{cname}:base"], sample).items():
             rows.append({
                 "config": cname,
                 "group": group,
-                "lq_savings_mean": sum(bucket["lq"]) / n,
-                "lq_savings_min": min(bucket["lq"]),
-                "slowdown_mean": sum(bucket["slow"]) / n,
-                "slowdown_min": min(bucket["slow"]),
-                "slowdown_max": max(bucket["slow"]),
-                "total_savings_mean": sum(bucket["total"]) / n,
-                "total_savings_min": min(bucket["total"]),
-                "total_savings_max": max(bucket["total"]),
+                "lq_savings_mean": mean(g["lq"]),
+                "lq_savings_min": min(g["lq"]),
+                "slowdown_mean": mean(g["slow"]),
+                "slowdown_min": min(g["slow"]),
+                "slowdown_max": max(g["slow"]),
+                "total_savings_mean": mean(g["total"]),
+                "total_savings_min": min(g["total"]),
+                "total_savings_max": max(g["total"]),
             })
     return {"experiment": "fig4", "rows": rows}
 

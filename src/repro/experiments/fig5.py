@@ -7,47 +7,39 @@ especially for FP applications.
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
 from repro.stats.report import format_table
 
 CONFIG_SET = {"config1": CONFIG1, "config2": CONFIG2, "config3": CONFIG3}
 
 
-def _sweep(configs: Optional[Dict] = None) -> Dict:
+def points(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Points:
+    """Baseline vs global vs local DMDC on each configuration."""
     configs = configs if configs is not None else CONFIG_SET
     sweep = {}
     for cname, config in configs.items():
         sweep[f"{cname}:base"] = config
         sweep[f"{cname}:global"] = config.with_scheme(SchemeConfig(kind="dmdc", local=False))
         sweep[f"{cname}:local"] = config.with_scheme(SchemeConfig(kind="dmdc", local=True))
-    return sweep
+    return suite(sweep, budget)
 
 
-def plan_fig5(budget: Optional[int] = None, configs: Optional[Dict] = None):
-    return plan_suite_many(_sweep(configs), budget=budget)
-
-
-def run_fig5(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Dict:
-    """Baseline vs global vs local DMDC on each configuration."""
+def analyze(sweeps: Sweeps, configs: Optional[Dict] = None) -> Dict:
     configs = configs if configs is not None else CONFIG_SET
-    sweeps = run_suite_many(_sweep(configs), budget=budget)
     rows: List[Dict] = []
     for cname in configs:
         for variant in ("global", "local"):
-            groups = {"INT": [], "FP": []}
-            for name, base in sweeps[f"{cname}:base"].items():
-                dmdc = sweeps[f"{cname}:{variant}"][name]
-                groups[base.group].append(100.0 * (dmdc.cycles / base.cycles - 1))
-            for group, vals in groups.items():
-                if not vals:
-                    continue
+            dmdc = sweeps[f"{cname}:{variant}"]
+            groups = by_group(sweeps[f"{cname}:base"], lambda name, base: {
+                "slow": 100.0 * (dmdc[name].cycles / base.cycles - 1)})
+            for group, g in groups.items():
                 rows.append({
                     "config": cname,
                     "variant": variant,
                     "group": group,
-                    "slowdown_mean": sum(vals) / len(vals),
-                    "slowdown_worst": max(vals),
+                    "slowdown_mean": mean(g["slow"]),
+                    "slowdown_worst": max(g["slow"]),
                 })
     return {"experiment": "fig5", "rows": rows}
 

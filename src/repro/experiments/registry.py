@@ -1,7 +1,25 @@
-"""Registry mapping experiment ids to their plan/run/render functions."""
+"""Registry of the paper's experiments and the one path that runs them.
 
-from typing import Callable, Dict, NamedTuple, Optional
+An experiment is a module with three functions:
 
+* ``points(budget=None, **params)`` names its labelled design points,
+  ``{label: {workload: RunRequest}}``;
+* ``analyze(sweeps, **params)`` turns the results, in the same shape,
+  into a plain JSON-friendly dict (it receives the same parameters as
+  ``points`` minus the budget, and names only those it reads);
+* ``render(data)`` prints the table the paper prints.
+
+:func:`run_experiments` plans any set of experiments, simulates the
+deduplicated union of their points as one engine batch, then analyzes
+and renders each.  ``repro experiment [--all]``, the service's
+``/experiment/{id}`` and :func:`run_experiment` all go through it.
+"""
+
+from types import ModuleType
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+
+from repro.exec.engine import ExecutionEngine, get_engine
+from repro.exec.request import RunRequest
 from repro.experiments import (
     ablation_storesets,
     ablation_table_size,
@@ -16,68 +34,100 @@ from repro.experiments import (
     sq_filter,
     table2,
     table3,
-    table4,
-    table5,
     table6,
     yla_energy,
 )
+from repro.experiments.common import Points
 
 
 class Experiment(NamedTuple):
-    """One reproducible paper artifact.
-
-    ``plan`` returns the experiment's design points as
-    :class:`~repro.exec.RunRequest`s without running anything, so the
-    execution engine can dedupe and batch points across experiments
-    (``repro experiment --all``).
-    """
+    """One reproducible paper artifact: a module plus fixed parameters."""
 
     id: str
     paper_artifact: str
-    run: Callable
-    render: Callable
-    plan: Optional[Callable] = None
+    module: ModuleType
+    params: Dict[str, object] = {}
+
+    def points(self, budget: Optional[int] = None, **kwargs) -> Points:
+        return self.module.points(budget, **self.params, **kwargs)
+
+
+class Artifact(NamedTuple):
+    """One experiment's analyzed data and rendered table."""
+
+    id: str
+    data: Dict
+    text: str
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.id: exp
     for exp in [
-        Experiment("fig2", "Figure 2", fig2.run_fig2, fig2.render, fig2.plan_fig2),
-        Experiment("fig3", "Figure 3", fig3.run_fig3, fig3.render, fig3.plan_fig3),
-        Experiment("yla_energy", "Section 6.1 energy", yla_energy.run_yla_energy,
-                   yla_energy.render, yla_energy.plan_yla_energy),
-        Experiment("fig4", "Figure 4", fig4.run_fig4, fig4.render, fig4.plan_fig4),
-        Experiment("table2", "Table 2", table2.run_table2, table2.render, table2.plan_table2),
-        Experiment("table3", "Table 3", table3.run_table3, table3.render, table3.plan_table3),
-        Experiment("table4", "Table 4", table4.run_table4, table4.render, table4.plan_table4),
-        Experiment("table5", "Table 5", table5.run_table5, table5.render, table5.plan_table5),
-        Experiment("fig5", "Figure 5", fig5.run_fig5, fig5.render, fig5.plan_fig5),
-        Experiment("table6", "Table 6", table6.run_table6, table6.render, table6.plan_table6),
-        Experiment("safe_loads", "Section 6.2.2 safe loads", safe_loads.run_safe_loads,
-                   safe_loads.render, safe_loads.plan_safe_loads),
-        Experiment("checking_queue", "Section 6.2.3 checking queue",
-                   checking_queue.run_checking_queue, checking_queue.render,
-                   checking_queue.plan_checking_queue),
-        Experiment("sq_filter", "Section 3 SQ filtering", sq_filter.run_sq_filter,
-                   sq_filter.render, sq_filter.plan_sq_filter),
+        Experiment("fig2", "Figure 2", fig2),
+        Experiment("fig3", "Figure 3", fig3),
+        Experiment("yla_energy", "Section 6.1 energy", yla_energy),
+        Experiment("fig4", "Figure 4", fig4),
+        Experiment("table2", "Table 2", table2),
+        Experiment("table3", "Table 3", table3),
+        Experiment("table4", "Table 4", table2, {"local": True}),
+        Experiment("table5", "Table 5", table3, {"local": True}),
+        Experiment("fig5", "Figure 5", fig5),
+        Experiment("table6", "Table 6", table6),
+        Experiment("safe_loads", "Section 6.2.2 safe loads", safe_loads),
+        Experiment("checking_queue", "Section 6.2.3 checking queue", checking_queue),
+        Experiment("sq_filter", "Section 3 SQ filtering", sq_filter),
         Experiment("ablation_table_size", "Ablation: checking-table size",
-                   ablation_table_size.run_ablation_table_size, ablation_table_size.render,
-                   ablation_table_size.plan_ablation_table_size),
+                   ablation_table_size),
         Experiment("ablation_wrongpath", "Ablation: wrong-path YLA corruption",
-                   ablation_wrongpath.run_ablation_wrongpath, ablation_wrongpath.render,
-                   ablation_wrongpath.plan_ablation_wrongpath),
+                   ablation_wrongpath),
         Experiment("ablation_storesets", "Extension: store-set prediction",
-                   ablation_storesets.run_ablation_storesets, ablation_storesets.render,
-                   ablation_storesets.plan_ablation_storesets),
-        Experiment("related_work", "Section 7 comparison",
-                   related_work.run_related_work, related_work.render,
-                   related_work.plan_related_work),
+                   ablation_storesets),
+        Experiment("related_work", "Section 7 comparison", related_work),
     ]
 }
 
 
+def run_experiments(exp_ids: Sequence[str],
+                    engine: Optional[ExecutionEngine] = None,
+                    on_plan: Optional[Callable[[int, int], None]] = None,
+                    **kwargs) -> List[Artifact]:
+    """Plan, simulate once, analyze and render the named experiments.
+
+    ``kwargs`` (``budget=`` and any experiment parameter) go to every
+    named experiment.  Each experiment's points are planned, the
+    deduplicated union runs as one batch on ``engine`` (the process-wide
+    engine by default), and ``on_plan(planned, unique)`` is told the
+    point counts before it starts.
+    """
+    budget = kwargs.pop("budget", None)
+    plans = []
+    for exp_id in exp_ids:
+        exp = EXPERIMENTS[exp_id]
+        plans.append((exp, exp.points(budget, **kwargs)))
+
+    union: Dict[str, RunRequest] = {}
+    for _, points in plans:
+        for requests in points.values():
+            for request in requests.values():
+                union.setdefault(request.cache_key(), request)
+    if on_plan is not None:
+        planned = sum(len(requests) for _, points in plans for requests in points.values())
+        on_plan(planned, len(union))
+    engine = engine if engine is not None else get_engine()
+    results = dict(zip(union, engine.run(list(union.values()))))
+
+    artifacts = []
+    for exp, points in plans:
+        sweeps = {
+            label: {name: results[request.cache_key()] for name, request in requests.items()}
+            for label, requests in points.items()
+        }
+        data = exp.module.analyze(sweeps, **exp.params, **kwargs)
+        artifacts.append(Artifact(exp.id, data, exp.module.render(data)))
+    return artifacts
+
+
 def run_experiment(exp_id: str, **kwargs):
     """Run one experiment by id and return (data, rendered_text)."""
-    exp = EXPERIMENTS[exp_id]
-    data = exp.run(**kwargs)
-    return data, exp.render(data)
+    artifact = run_experiments([exp_id], **kwargs)[0]
+    return artifact.data, artifact.text

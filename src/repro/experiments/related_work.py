@@ -19,7 +19,7 @@ flush-from-store replays.
 from typing import Dict, Optional
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -32,44 +32,38 @@ SCHEMES = {
 }
 
 
-def _sweep(config=CONFIG2) -> Dict:
-    return {name: config.with_scheme(scheme) for name, scheme in SCHEMES.items()}
+def points(budget: Optional[int] = None, config=CONFIG2) -> Points:
+    """Every checking design over the full suite."""
+    return suite({name: config.with_scheme(scheme) for name, scheme in SCHEMES.items()},
+                 budget)
 
 
-def plan_related_work(budget: Optional[int] = None, config=CONFIG2):
-    return plan_suite_many(_sweep(config), budget=budget)
-
-
-def run_related_work(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def analyze(sweeps: Sweeps, config=CONFIG2) -> Dict:
     """Compare every scheme on LQ energy, replays, and slowdown."""
-    sweeps = run_suite_many(_sweep(config), budget=budget)
     model = EnergyModel(config)
-    base_energy = {name: model.evaluate(r) for name, r in sweeps["conventional"].items()}
+    base_runs = sweeps["conventional"]
+    base_energy = {name: model.evaluate(r) for name, r in base_runs.items()}
+
+    def sample(name, result):
+        energy = model.evaluate(result)
+        base = base_energy[name]
+        return {
+            "lq_rel": 100.0 * energy.lq / base.lq,
+            "total_rel": 100.0 * energy.total / base.total,
+            "slow": 100.0 * (result.cycles / base_runs[name].cycles - 1),
+            "replays": result.replays_per_minstr,
+        }
+
     rows = []
     for scheme_name in SCHEMES:
-        groups: Dict[str, Dict[str, list]] = {}
-        for wl_name, result in sweeps[scheme_name].items():
-            energy = model.evaluate(result)
-            base = base_energy[wl_name]
-            base_run = sweeps["conventional"][wl_name]
-            bucket = groups.setdefault(result.group, {
-                "lq_rel": [], "total_rel": [], "slow": [], "replays": [],
-                "reexec": [],
-            })
-            bucket["lq_rel"].append(100.0 * energy.lq / base.lq)
-            bucket["total_rel"].append(100.0 * energy.total / base.total)
-            bucket["slow"].append(100.0 * (result.cycles / base_run.cycles - 1))
-            bucket["replays"].append(result.replays_per_minstr)
-            bucket["reexec"].append(result.counters["dcache.reexecutions"])
-        for group, bucket in sorted(groups.items()):
-            n = len(bucket["lq_rel"])
+        for group, g in sorted(by_group(sweeps[scheme_name], sample).items()):
             rows.append({
                 "scheme": scheme_name,
                 "group": group,
-                "lq_energy_rel": sum(bucket["lq_rel"]) / n,
-                "total_energy_rel": sum(bucket["total_rel"]) / n,
-                "slowdown": sum(bucket["slow"]) / n,
-                "replays_per_minstr": sum(bucket["replays"]) / n,
+                "lq_energy_rel": mean(g["lq_rel"]),
+                "total_energy_rel": mean(g["total_rel"]),
+                "slowdown": mean(g["slow"]),
+                "replays_per_minstr": mean(g["replays"]),
             })
     return {"experiment": "related_work", "rows": rows}
 

@@ -7,42 +7,33 @@ safe-load circuit false replays roughly double for INT applications
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def _sweep(config=CONFIG2) -> Dict:
-    return {
+def points(budget: Optional[int] = None, config=CONFIG2) -> Points:
+    """Global DMDC with and without the safe-load optimisation."""
+    return suite({
         "with": config.with_scheme(SchemeConfig(kind="dmdc", safe_loads=True)),
         "without": config.with_scheme(SchemeConfig(kind="dmdc", safe_loads=False)),
-    }
+    }, budget)
 
 
-def plan_safe_loads(budget: Optional[int] = None, config=CONFIG2):
-    return plan_suite_many(_sweep(config), budget=budget)
-
-
-def run_safe_loads(budget: Optional[int] = None, config=CONFIG2) -> Dict:
-    """Global DMDC with and without the safe-load optimisation."""
-    sweeps = run_suite_many(_sweep(config), budget=budget)
-    groups: Dict[str, Dict[str, list]] = {}
-    for name, with_safe in sweeps["with"].items():
-        without = sweeps["without"][name]
-        bucket = groups.setdefault(with_safe.group, {
-            "safe_frac": [], "false_with": [], "false_without": [],
-        })
-        bucket["safe_frac"].append(100.0 * with_safe.safe_load_fraction)
-        bucket["false_with"].append(with_safe.false_replays_per_minstr)
-        bucket["false_without"].append(without.false_replays_per_minstr)
+def analyze(sweeps: Sweeps, **_) -> Dict:
+    without = sweeps["without"]
+    groups = by_group(sweeps["with"], lambda name, with_safe: {
+        "safe_frac": 100.0 * with_safe.safe_load_fraction,
+        "false_with": with_safe.false_replays_per_minstr,
+        "false_without": without[name].false_replays_per_minstr,
+    })
     rows = []
-    for group, bucket in sorted(groups.items()):
-        n = len(bucket["safe_frac"])
-        fw = sum(bucket["false_with"]) / n
-        fo = sum(bucket["false_without"]) / n
+    for group, g in sorted(groups.items()):
+        fw = mean(g["false_with"])
+        fo = mean(g["false_without"])
         rows.append({
             "group": group,
-            "safe_load_pct": sum(bucket["safe_frac"]) / n,
+            "safe_load_pct": mean(g["safe_frac"]),
             "false_with": fw,
             "false_without": fo,
             "reduction_pct": 100.0 * (1 - fw / fo) if fo else 0.0,

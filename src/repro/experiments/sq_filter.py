@@ -8,34 +8,33 @@ future work; we implement the filter behind ``SchemeConfig.sq_filter``.)
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite, run_suite
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def plan_sq_filter(budget: Optional[int] = None, config=CONFIG2):
-    cfg = config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))
-    return plan_suite(cfg, budget=budget)
+def points(budget: Optional[int] = None, config=CONFIG2) -> Points:
+    """DMDC with the SQ age filter over the full suite."""
+    return suite({"dmdc": config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))},
+                 budget)
 
 
-def run_sq_filter(budget: Optional[int] = None, config=CONFIG2) -> Dict:
-    """Measure the fraction of SQ searches removed by age filtering."""
-    cfg = config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))
-    results = run_suite(cfg, budget=budget)
-    groups: Dict[str, list] = {}
-    for result in results.values():
-        filtered = result.counters["sq.searches_filtered_age"]
-        total = filtered + result.counters["sq.searches"]
-        if total:
-            groups.setdefault(result.group, []).append(100.0 * filtered / total)
+def _sample(name, result) -> Optional[Dict[str, float]]:
+    """Share of SQ searches the age filter removed (None: no searches)."""
+    filtered = result.counters["sq.searches_filtered_age"]
+    total = filtered + result.counters["sq.searches"]
+    return {"filtered": 100.0 * filtered / total} if total else None
+
+
+def analyze(sweeps: Sweeps, **_) -> Dict:
     rows = [
         {
             "group": group,
-            "filtered_mean": sum(vals) / len(vals),
-            "filtered_min": min(vals),
-            "filtered_max": max(vals),
+            "filtered_mean": mean(g["filtered"]),
+            "filtered_min": min(g["filtered"]),
+            "filtered_max": max(g["filtered"]),
         }
-        for group, vals in sorted(groups.items())
+        for group, g in sorted(by_group(sweeps["dmdc"], _sample).items())
     ]
     return {"experiment": "sq_filter", "rows": rows}
 

@@ -1,54 +1,55 @@
-"""Table 2 and surrounding Section 6.2.2 statistics: checking windows.
+"""Tables 2 and 4 and surrounding Section 6.2.2 statistics: checking windows.
 
 Paper result (global DMDC, config2): a checking window spans ~33
 instructions, contains ~10 loads of which ~3.6 (INT) / 4.1 (FP) are safe;
 the processor spends ~10% (INT) / ~2.5% (FP) of cycles in checking mode;
 ~57% (INT) / 63% (FP) of windows hold a single unsafe store; overall 81%
 (INT) / 94% (FP) of loads are safe.
+
+Table 4 is this collector under *local* DMDC (``local=True``).  Paper
+result: local windows are 13-25% shorter than global ones (25.3 vs 33.6
+instructions for INT, 28.9 vs 33.0 for FP) and contain proportionally
+fewer loads; the safe-load share inside windows shrinks faster.
 """
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite, run_suite
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def plan_table2(budget: Optional[int] = None, local: bool = False, config=CONFIG2):
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    return plan_suite(config.with_scheme(scheme), budget=budget)
+def points(budget: Optional[int] = None, local: bool = False, config=CONFIG2) -> Points:
+    """DMDC (global or local) over the full suite."""
+    return suite({"dmdc": config.with_scheme(SchemeConfig(kind="dmdc", local=local))}, budget)
 
 
-def run_table2(budget: Optional[int] = None, local: bool = False, config=CONFIG2) -> Dict:
-    """Measure checking-window shape under DMDC on the full suite."""
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    results = run_suite(config.with_scheme(scheme), budget=budget)
-    groups: Dict[str, Dict[str, list]] = {}
-    for result in results.values():
-        bucket = groups.setdefault(result.group, {
-            "instrs": [], "loads": [], "safe_loads": [],
-            "checking": [], "single_store": [], "safe_load_frac": [],
-        })
-        if result.window_instrs.count:
-            bucket["instrs"].append(result.mean_window_instrs)
-            bucket["loads"].append(result.mean_window_loads)
-            bucket["safe_loads"].append(result.mean_window_safe_loads)
-            bucket["single_store"].append(100.0 * result.single_unsafe_store_window_fraction)
-        bucket["checking"].append(100.0 * result.checking_cycle_fraction)
-        bucket["safe_load_frac"].append(100.0 * result.safe_load_fraction)
+def _sample(name, result) -> Dict[str, float]:
+    values = {
+        "checking": 100.0 * result.checking_cycle_fraction,
+        "safe_load_frac": 100.0 * result.safe_load_fraction,
+    }
+    if result.window_instrs.count:
+        values.update(
+            instrs=result.mean_window_instrs,
+            loads=result.mean_window_loads,
+            safe_loads=result.mean_window_safe_loads,
+            single_store=100.0 * result.single_unsafe_store_window_fraction,
+        )
+    return values
+
+
+def analyze(sweeps: Sweeps, local: bool = False, **_) -> Dict:
     rows = []
-    for group, bucket in sorted(groups.items()):
-        def avg(key):
-            vals = bucket[key]
-            return sum(vals) / len(vals) if vals else 0.0
+    for group, g in sorted(by_group(sweeps["dmdc"], _sample).items()):
         rows.append({
             "group": group,
-            "instructions": avg("instrs"),
-            "loads": avg("loads"),
-            "safe_loads": avg("safe_loads"),
-            "checking_cycles_pct": avg("checking"),
-            "single_unsafe_store_pct": avg("single_store"),
-            "overall_safe_loads_pct": avg("safe_load_frac"),
+            "instructions": mean(g["instrs"]),
+            "loads": mean(g["loads"]),
+            "safe_loads": mean(g["safe_loads"]),
+            "checking_cycles_pct": mean(g["checking"]),
+            "single_unsafe_store_pct": mean(g["single_store"]),
+            "overall_safe_loads_pct": mean(g["safe_load_frac"]),
         })
     return {"experiment": "table4" if local else "table2", "local": local, "rows": rows}
 

@@ -17,7 +17,7 @@ Paper result (config2, per million committed instructions): INT 168 total
 
 from typing import Dict, Optional
 
-from repro.experiments.common import plan_suite, run_suite
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.result import FALSE_REPLAY_CATEGORIES
 from repro.stats.report import format_table
@@ -32,44 +32,39 @@ _LABELS = {
 }
 
 
-def plan_table3(budget: Optional[int] = None, local: bool = False, config=CONFIG2):
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    return plan_suite(config.with_scheme(scheme), budget=budget)
+def points(budget: Optional[int] = None, local: bool = False, config=CONFIG2) -> Points:
+    """DMDC (global or local) over the full suite."""
+    return suite({"dmdc": config.with_scheme(SchemeConfig(kind="dmdc", local=local))}, budget)
 
 
-def run_table3(budget: Optional[int] = None, local: bool = False, config=CONFIG2) -> Dict:
+def _sample(name, result) -> Dict[str, float]:
+    values = {cat: result.per_minstr(cat) for cat in FALSE_REPLAY_CATEGORIES}
+    values.update(true=result.per_minstr("replay.true"),
+                  total_false=result.false_replays_per_minstr)
+    return values
+
+
+def analyze(sweeps: Sweeps, local: bool = False, **_) -> Dict:
     """Classify false replays per million instructions, INT vs FP."""
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    results = run_suite(config.with_scheme(scheme), budget=budget)
-    groups: Dict[str, Dict[str, list]] = {}
-    for result in results.values():
-        bucket = groups.setdefault(result.group, {c: [] for c in FALSE_REPLAY_CATEGORIES})
-        bucket.setdefault("true", []).append(result.per_minstr("replay.true"))
-        bucket.setdefault("total_false", []).append(result.false_replays_per_minstr)
-        for cat in FALSE_REPLAY_CATEGORIES:
-            bucket[cat].append(result.per_minstr(cat))
     rows = []
-    for group, bucket in sorted(groups.items()):
-        def avg(key):
-            vals = bucket.get(key, [])
-            return sum(vals) / len(vals) if vals else 0.0
-        total = avg("total_false") or 1e-12
+    for group, g in sorted(by_group(sweeps["dmdc"], _sample).items()):
+        total = mean(g["total_false"]) or 1e-12
         for cat in FALSE_REPLAY_CATEGORIES:
             kind, timing = _LABELS[cat]
             rows.append({
                 "group": group,
                 "kind": kind,
                 "timing": timing,
-                "per_minstr": avg(cat),
-                "share": 100.0 * avg(cat) / total,
+                "per_minstr": mean(g[cat]),
+                "share": 100.0 * mean(g[cat]) / total,
             })
         rows.append({
             "group": group, "kind": "total", "timing": "(all false replays)",
-            "per_minstr": avg("total_false"), "share": 100.0,
+            "per_minstr": mean(g["total_false"]), "share": 100.0,
         })
         rows.append({
             "group": group, "kind": "true", "timing": "(real violations)",
-            "per_minstr": avg("true"), "share": float("nan"),
+            "per_minstr": mean(g["true"]), "share": float("nan"),
         })
     return {"experiment": "table5" if local else "table3", "local": local, "rows": rows}
 

@@ -17,53 +17,41 @@ stays near 1% slowdown.
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 INVALIDATION_RATES = (0.0, 1.0, 10.0, 100.0)
 
 
-def _sweep(rates=INVALIDATION_RATES, config=CONFIG2) -> Dict:
+def points(budget: Optional[int] = None, rates=INVALIDATION_RATES, config=CONFIG2) -> Points:
+    """Injected invalidation rates under coherent DMDC, plus the baseline."""
     coherent = SchemeConfig(kind="dmdc", coherence=True)
     sweep = {"base": config}
     for rate in rates:
         sweep[f"inv:{rate}"] = config.with_scheme(coherent).with_overrides(
             invalidation_rate=rate
         )
-    return sweep
+    return suite(sweep, budget)
 
 
-def plan_table6(budget: Optional[int] = None, rates=INVALIDATION_RATES, config=CONFIG2):
-    return plan_suite_many(_sweep(rates, config), budget=budget)
-
-
-def run_table6(budget: Optional[int] = None, rates=INVALIDATION_RATES, config=CONFIG2) -> Dict:
-    """Sweep injected invalidation rates under coherent DMDC."""
-    sweeps = run_suite_many(_sweep(rates, config), budget=budget)
+def analyze(sweeps: Sweeps, rates=INVALIDATION_RATES, **_) -> Dict:
     rows: List[Dict] = []
     per_group_ref: Dict[str, Dict[str, float]] = {}
     for rate in rates:
-        groups: Dict[str, Dict[str, list]] = {}
-        for name, base in sweeps["base"].items():
-            r = sweeps[f"inv:{rate}"][name]
-            bucket = groups.setdefault(base.group, {
-                "checking": [], "window": [], "false": [], "slow": [],
-            })
-            bucket["checking"].append(100.0 * r.checking_cycle_fraction)
-            bucket["window"].append(r.mean_window_instrs)
-            bucket["false"].append(r.false_replays_per_minstr)
-            bucket["slow"].append(100.0 * (r.cycles / base.cycles - 1))
-        for group, bucket in sorted(groups.items()):
-            def avg(key):
-                vals = bucket[key]
-                return sum(vals) / len(vals) if vals else 0.0
-            stats = {
-                "checking": avg("checking"),
-                "window": avg("window"),
-                "false": avg("false"),
-                "slow": avg("slow"),
+        inv = sweeps[f"inv:{rate}"]
+
+        def sample(name, base):
+            r = inv[name]
+            return {
+                "checking": 100.0 * r.checking_cycle_fraction,
+                "window": r.mean_window_instrs,
+                "false": r.false_replays_per_minstr,
+                "slow": 100.0 * (r.cycles / base.cycles - 1),
             }
+
+        for group, g in sorted(by_group(sweeps["base"], sample).items()):
+            stats = {key: mean(g[key]) for key in ("checking", "window", "false", "slow")}
             ref = per_group_ref.setdefault(group, stats)
             rows.append({
                 "group": group,

@@ -4,47 +4,41 @@
 from typing import Dict, Optional
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
+from repro.experiments.common import Points, Sweeps, by_group, mean, suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def _sweep() -> Dict:
-    return {
+def points(budget: Optional[int] = None) -> Points:
+    """Baseline vs 8-register YLA filtering on config2, full suite."""
+    return suite({
         "baseline": CONFIG2,
         "yla": CONFIG2.with_scheme(SchemeConfig(kind="yla", yla_registers=8)),
-    }
+    }, budget)
 
 
-def plan_yla_energy(budget: Optional[int] = None):
-    return plan_suite_many(_sweep(), budget=budget)
-
-
-def run_yla_energy(budget: Optional[int] = None) -> Dict:
-    """Baseline vs 8-register YLA filtering on config2, full suite."""
-    sweeps = run_suite_many(_sweep(), budget=budget)
+def analyze(sweeps: Sweeps) -> Dict:
     model = EnergyModel(CONFIG2)
-    rows = []
-    groups = {"INT": {"lq": [], "total": [], "slow": []},
-              "FP": {"lq": [], "total": [], "slow": []}}
-    for name, base in sweeps["baseline"].items():
+
+    def sample(name, base):
         filt = sweeps["yla"][name]
         e_base = model.evaluate(base)
         e_filt = model.evaluate(filt)
-        bucket = groups[base.group]
-        bucket["lq"].append(100.0 * (1 - e_filt.lq / e_base.lq))
-        bucket["total"].append(100.0 * (1 - e_filt.total / e_base.total))
-        bucket["slow"].append(100.0 * (filt.cycles / base.cycles - 1))
-    for group, bucket in groups.items():
-        if not bucket["lq"]:
-            continue
-        n = len(bucket["lq"])
-        rows.append({
+        return {
+            "lq": 100.0 * (1 - e_filt.lq / e_base.lq),
+            "total": 100.0 * (1 - e_filt.total / e_base.total),
+            "slow": 100.0 * (filt.cycles / base.cycles - 1),
+        }
+
+    rows = [
+        {
             "group": group,
-            "lq_savings": sum(bucket["lq"]) / n,
-            "total_savings": sum(bucket["total"]) / n,
-            "slowdown": sum(bucket["slow"]) / n,
-        })
+            "lq_savings": mean(g["lq"]),
+            "total_savings": mean(g["total"]),
+            "slowdown": mean(g["slow"]),
+        }
+        for group, g in by_group(sweeps["baseline"], sample).items()
+    ]
     return {"experiment": "yla_energy", "rows": rows}
 
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ServiceError, SimulationError
-from repro.exec.engine import ExecutionEngine, set_engine, use_engine
+from repro.exec.engine import ExecutionEngine, set_engine
 from repro.exec.options import EngineOptions
 from repro.exec.request import RunRequest
 from repro.service.batcher import Draining, ResultTimeout, Saturated
@@ -346,7 +346,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         self._reply(200, {"points": results, "count": len(results)})
 
     def _get_experiment(self, exp_id: str, query: Dict[str, List[str]]) -> None:
-        from repro.experiments.registry import EXPERIMENTS, run_experiment
+        from repro.experiments.registry import EXPERIMENTS, run_experiments
         if exp_id not in EXPERIMENTS:
             self._reply(404, {"error": f"unknown experiment {exp_id!r}",
                               "choices": sorted(EXPERIMENTS)})
@@ -359,12 +359,10 @@ class RequestHandler(BaseHTTPRequestHandler):
             kwargs["budget"] = int(raw_budget)
 
         def render() -> str:
-            # Experiments resolve the process-wide engine; pin it to the
-            # pool primary's for the duration (we are on that shard's
+            # Run on the pool primary's engine (we are on that shard's
             # batching thread, the only thread that ever touches it).
-            with use_engine(self.server.engine):
-                _, text = run_experiment(exp_id, **kwargs)
-            return text
+            artifact, = run_experiments([exp_id], engine=self.server.engine, **kwargs)
+            return artifact.text
 
         ticket = self.server.shards.call(render)
         text = ticket.result(timeout=self.server.config.request_timeout)

@@ -2,26 +2,36 @@
 
 import pytest
 
-from repro.stats.aggregate import GroupSummary, geometric_mean, summarize
+from repro.experiments.common import by_group, mean
+from repro.sim.result import SimulationResult
+from repro.stats.aggregate import geometric_mean
+from repro.stats.counters import CounterSet
 from repro.stats.report import format_percent, format_table
+
+
+def _results(groups):
+    return {name: SimulationResult(name, group, "c", "s", 1, 1, CounterSet())
+            for name, group in groups.items()}
 
 
 class TestSummarize:
     def test_groups_split(self):
         values = {"a": 1.0, "b": 3.0, "c": 10.0}
-        groups = {"a": "INT", "b": "INT", "c": "FP"}
-        out = summarize(values, groups)
-        assert out["INT"].mean == 2.0
-        assert out["INT"].min == 1.0 and out["INT"].max == 3.0
-        assert out["FP"].count == 1
+        results = _results({"a": "INT", "b": "INT", "c": "FP"})
+        out = by_group(results, lambda name, r: {"v": values[name]})
+        assert list(out) == ["INT", "FP"]
+        assert mean(out["INT"]["v"]) == 2.0
+        assert min(out["INT"]["v"]) == 1.0 and max(out["INT"]["v"]) == 3.0
+        assert len(out["FP"]["v"]) == 1
 
     def test_unknown_workloads_ignored(self):
-        out = summarize({"a": 1.0, "zzz": 9.0}, {"a": "INT"})
+        values = {"a": 1.0}
+        results = _results({"a": "INT", "zzz": "FP"})
+        out = by_group(results, lambda name, r: {"v": values[name]} if name in values else None)
         assert set(out) == {"INT"}
 
-    def test_str(self):
-        s = GroupSummary("INT", 1.0, 0.5, 1.5, 3)
-        assert "INT" in str(s) and "n=3" in str(s)
+    def test_mean_of_nothing_is_zero(self):
+        assert mean([]) == 0.0
 
 
 class TestGeometricMean:

@@ -1,13 +1,13 @@
-"""The deduplicating executor, the cross-experiment planner, and the
-engine-backed ``run_suite`` helpers."""
+"""The deduplicating executor and the one experiment path that plans,
+batches and renders experiments through it."""
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine, worker_count
-from repro.exec.planner import plan_experiments, run_all, union_requests
 from repro.exec.request import RunRequest
+from repro.experiments.registry import EXPERIMENTS, run_experiments
 from repro.sim.config import small_config
 
 BUDGET = 700
@@ -95,60 +95,62 @@ class TestPlanner:
         monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "1")
         monkeypatch.setenv("REPRO_PARALLEL", "0")
 
-    def test_shared_points_fold_in_union(self):
+    def _run(self, exp_ids, engine):
+        counts = []
+        artifacts = run_experiments(exp_ids, engine=engine, budget=BUDGET,
+                                    on_plan=lambda planned, unique: counts.append(
+                                        (planned, unique)))
+        return artifacts, counts[0]
+
+    def test_shared_points_fold_in_union(self, engine):
         # table2 (global DMDC suite) is a strict subset of safe_loads'
         # "with safe loads" sweep: identical configs, workloads, budget.
-        plans = plan_experiments(["table2", "safe_loads"], budget=BUDGET)
-        assert {p.id for p in plans} == {"table2", "safe_loads"}
-        planned = sum(len(p.requests) for p in plans)
-        union = union_requests(plans)
-        keys = {r.cache_key() for r in union}
-        assert len(union) == len(keys)
-        suite_size = len(plans[0].requests)
+        artifacts, (planned, unique) = self._run(["table2", "safe_loads"], engine)
+        assert {a.id for a in artifacts} == {"table2", "safe_loads"}
+        suite_size = len(EXPERIMENTS["table2"].points(BUDGET)["dmdc"])
         assert planned == 3 * suite_size
-        assert len(union) == 2 * suite_size
+        assert unique == 2 * suite_size
+        assert engine.stats.requested == engine.stats.unique == unique
 
     def test_every_experiment_declares_a_plan(self):
-        plans = plan_experiments(budget=BUDGET)
-        assert len(plans) == 17
-        for plan in plans:
-            assert plan.requests, f"{plan.id} planned no design points"
+        assert len(EXPERIMENTS) == 17
+        for exp in EXPERIMENTS.values():
+            points = exp.points(BUDGET)
+            assert points and all(points.values()), f"{exp.id} planned no design points"
 
-    def test_run_all_simulates_each_unique_point_once(self, tmp_path):
-        with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as engine:
-            rendered = run_all(["table2", "safe_loads"], budget=BUDGET, engine=engine)
-            union = union_requests(plan_experiments(["table2", "safe_loads"],
-                                                    budget=BUDGET))
-            assert engine.stats.executed == len(union)
-            assert {r[0] for r in rendered} == {"table2", "safe_loads"}
-            for _, _, text in rendered:
-                assert text.strip()
+    def test_run_all_simulates_each_unique_point_once(self, engine):
+        artifacts, (_, unique) = self._run(["table2", "safe_loads"], engine)
+        assert engine.stats.executed == unique
+        assert engine.stats.memo_hits == 0
+        assert {a.id for a in artifacts} == {"table2", "safe_loads"}
+        for artifact in artifacts:
+            assert artifact.text.strip()
 
     def test_cached_rerun_is_identical_and_simulation_free(self, tmp_path):
         cache_dir = tmp_path / "c"
         with ExecutionEngine(cache=ResultCache(cache_dir), max_workers=1) as cold:
-            first = run_all(["table2"], budget=BUDGET, engine=cold)
+            first, _ = self._run(["table2"], cold)
         with ExecutionEngine(cache=ResultCache(cache_dir), max_workers=1) as warm:
-            second = run_all(["table2"], budget=BUDGET, engine=warm)
+            second, _ = self._run(["table2"], warm)
             assert warm.stats.executed == 0
             assert warm.stats.hit_rate == 1.0
-        assert first[0][2] == second[0][2]  # byte-identical rendering
+        assert first[0].text == second[0].text  # byte-identical rendering
 
 
 class TestSuiteHelpers:
-    def test_run_suite_many_shares_engine_batches(self, tmp_path, monkeypatch):
+    def test_suite_labels_share_engine_batches(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        from repro.experiments.common import run_suite, run_suite_many
-
+        monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "1")
         config = small_config(wrongpath_loads=False)
+        counts = []
         with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as eng:
-            from repro.exec.engine import use_engine
-
-            with use_engine(eng):
-                single = run_suite(config, budget=BUDGET, workloads=["gzip", "swim"])
-                many = run_suite_many({"a": config, "b": config}, budget=BUDGET,
-                                      workloads=["gzip", "swim"])
-            # 2 + 4 requests, but only 2 unique design points ever ran.
-            assert eng.stats.executed == 2
-            assert many["a"]["gzip"] == single["gzip"]
-            assert many["b"]["swim"] == single["swim"]
+            artifact, = run_experiments(
+                ["fig4"], engine=eng, budget=BUDGET, configs={"a": config, "b": config},
+                on_plan=lambda planned, unique: counts.append((planned, unique)))
+            # 2 labels x (base, dmdc) x 2 workloads, but only 2 x 2 unique
+            # design points, each simulated once, in one engine batch.
+            assert counts == [(8, 4)]
+            assert eng.stats.requested == eng.stats.executed == 4
+        rows = {(r["config"], r["group"]): dict(r, config=None) for r in artifact.data["rows"]}
+        assert rows[("a", "INT")] == rows[("b", "INT")]
+        assert rows[("a", "FP")] == rows[("b", "FP")]

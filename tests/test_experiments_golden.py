@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.engine import ExecutionEngine, use_engine
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.exec.engine import ExecutionEngine
+from repro.experiments.registry import EXPERIMENTS, run_experiments
 
 GOLDEN = Path(__file__).parent / "golden" / "experiments_golden.json"
 
@@ -28,12 +28,10 @@ ENV = {"REPRO_WORKLOADS_PER_GROUP": "2", "REPRO_PARALLEL": "0"}
 
 
 def _live():
-    out = {}
-    with ExecutionEngine(cache=None, max_workers=1) as engine, use_engine(engine):
-        for exp_id in EXPERIMENTS:
-            data, text = run_experiment(exp_id, budget=BUDGET)
-            out[exp_id] = {"data": json.dumps(data, sort_keys=True), "text": text}
-    return out
+    with ExecutionEngine(cache=None, max_workers=1) as engine:
+        artifacts = run_experiments(list(EXPERIMENTS), engine=engine, budget=BUDGET)
+    return {a.id: {"data": json.dumps(a.data, sort_keys=True), "text": a.text}
+            for a in artifacts}
 
 
 @pytest.fixture(scope="module")

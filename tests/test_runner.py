@@ -71,14 +71,17 @@ class TestExperimentHelpers:
         assert len(suite_workloads()) == 26
 
     def test_run_suite_serial(self, monkeypatch, tiny_config):
-        from repro.experiments.common import run_suite
+        from repro.exec.engine import get_engine
+        from repro.experiments.common import suite
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        results = run_suite(tiny_config, budget=800, workloads=["gzip", "swim"])
-        assert set(results) == {"gzip", "swim"}
-        assert results["swim"].group == "FP"
+        points = suite({"tiny": tiny_config}, budget=800, workloads=["gzip", "swim"])
+        assert list(points) == ["tiny"] and list(points["tiny"]) == ["gzip", "swim"]
+        results = get_engine().run(list(points["tiny"].values()))
+        assert [r.workload for r in results] == ["gzip", "swim"]
+        assert results[1].group == "FP"
 
     def test_group_means(self):
-        from repro.experiments.common import group_means
+        from repro.experiments.common import by_group, mean
         from repro.sim.result import SimulationResult
         from repro.stats.counters import CounterSet
 
@@ -88,6 +91,6 @@ class TestExperimentHelpers:
         results = {
             "a": mk("a", "INT", 10), "b": mk("b", "INT", 30), "c": mk("c", "FP", 20),
         }
-        out = group_means(results, lambda r: float(r.cycles))
-        assert out["INT"]["mean"] == 20.0 and out["INT"]["min"] == 10.0
-        assert out["FP"]["n"] == 1
+        out = by_group(results, lambda name, r: {"cycles": float(r.cycles)})
+        assert mean(out["INT"]["cycles"]) == 20.0 and min(out["INT"]["cycles"]) == 10.0
+        assert len(out["FP"]["cycles"]) == 1
