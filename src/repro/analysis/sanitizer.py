@@ -20,19 +20,21 @@ cross-checks the scheme's decisions against that oracle:
   monotonicity / rollback exactness, ``end_check`` window consistency, and
   ROB/LSQ age ordering on every event.
 
-Attach with :func:`attach_sanitizer`.  The idle-cycle skipper stays on:
+Attach with :func:`attach_sanitizer`; :func:`sanitize_sweep` is the one
+sweep loop behind ``repro check --sanitize`` and ``repro.api.check``.
+The idle-cycle skipper stays on:
 it skips only cycles in which no hook can fire, so a sanitized run checks
 exactly the events a stepped one does (pinned by
 ``tests/test_observers_fastpath.py``).
 """
 
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.probes import AgeOrderProbe, ProbeSet, WindowProbe, YlaProbe
 from repro.analysis.shadow import ShadowLSQ
 from repro.core.schemes.base import SoaHooks
-from repro.errors import SanitizerError
-from repro.sim.config import SchemeConfig, scheme_matrix
+from repro.errors import ConfigError, SanitizerError
+from repro.sim.config import MachineConfig, SchemeConfig, scheme_matrix
 
 #: The canonical scheme matrix the correctness suites sweep: one label per
 #: scheme family the simulator implements (the fast-path equivalence
@@ -316,3 +318,44 @@ def attach_sanitizer(processor, strict: bool = False) -> MemoryOrderSanitizer:
     sanitizer = MemoryOrderSanitizer(processor.scheme, strict=strict)
     processor.scheme = sanitizer
     return sanitizer
+
+
+#: Schemes that filter associative LQ searches by age: a sanitized run of
+#: one of these must show *some* filtering activity, or the sweep proved
+#: nothing about the mechanism under test.
+FILTERING_SCHEMES = frozenset(
+    {"yla", "bloom", "dmdc", "dmdc-local", "dmdc-queue8"})
+
+
+def sanitize_sweep(machine: MachineConfig, labels: Sequence[str],
+                   workloads: Sequence[str], instructions: int,
+                   seed: int = 1, strict: bool = False,
+                   ) -> Iterator[Tuple[Dict[str, object], SanitizerReport]]:
+    """Sanitize every (workload, scheme label) pair on ``machine``.
+
+    Yields ``(entry, report)`` per run as it finishes.  ``entry`` is the
+    report's dict plus ``workload``, ``label``, ``filtered_searches``
+    and ``ok``: a run is ok when the report is clean and, for a
+    filtering scheme, the filter fired at least once.  Unknown labels
+    raise :class:`~repro.errors.ConfigError` before anything runs.
+    """
+    from repro.workloads import get_workload
+
+    unknown = [label for label in labels if label not in SCHEME_MATRIX]
+    if unknown:
+        raise ConfigError(f"unknown scheme(s) {', '.join(unknown)}; choose from "
+                          f"{', '.join(sorted(SCHEME_MATRIX))}")
+    for workload in workloads:
+        trace = get_workload(workload).generate(instructions + 2_000)
+        for label in labels:
+            result, report = run_sanitized(
+                machine.with_scheme(SCHEME_MATRIX[label]), trace,
+                max_instructions=instructions, seed=seed, strict=strict)
+            filtered = (result.counters["lq.searches_filtered"]
+                        + result.counters["stores.safe"])
+            entry = report.as_dict()
+            entry.update(workload=workload, label=label,
+                         filtered_searches=int(filtered),
+                         ok=report.clean and not (label in FILTERING_SCHEMES
+                                                  and filtered == 0))
+            yield entry, report

@@ -319,27 +319,14 @@ def check(paths: Optional[Sequence[str]] = None,
         payload["static"] = [v._asdict() for v in violations]
         ok = ok and not violations
     if sanitize:
-        from repro.analysis.sanitizer import run_sanitized
-        machine = _as_machine(config, "conventional")
-        labels = list(schemes) if schemes else sorted(SCHEME_MATRIX)
-        names = list(workloads) if workloads else ["gzip", "mcf"]
-        reports = []
-        for name in names:
-            trace = get_workload(name).generate(instructions + 2_000)
-            for label in labels:
-                scheme_cfg = SCHEME_MATRIX.get(label)
-                if scheme_cfg is None:
-                    raise ConfigError(
-                        f"unknown sanitizer scheme {label!r}; choices: "
-                        f"{sorted(SCHEME_MATRIX)}")
-                _, report = run_sanitized(
-                    machine.with_scheme(scheme_cfg), trace,
-                    max_instructions=instructions, seed=seed, strict=strict)
-                entry = report.as_dict()
-                entry.update(workload=name, label=label)
-                reports.append(entry)
-                ok = ok and report.clean
+        from repro.analysis.sanitizer import sanitize_sweep
+        reports = [entry for entry, _ in sanitize_sweep(
+            _as_machine(config, "conventional"),
+            list(schemes) if schemes else sorted(SCHEME_MATRIX),
+            list(workloads) if workloads else ["gzip", "mcf"],
+            instructions, seed=seed, strict=strict)]
         payload["sanitize"] = reports
+        ok = ok and all(entry["ok"] for entry in reports)
     payload["ok"] = ok
     return payload
 

@@ -147,6 +147,35 @@ class TestCheck:
             api.check(static=False, sanitize=True, schemes=["magic"],
                       workloads=["gzip"], instructions=1_000)
 
+    def test_sanitize_fails_a_filter_that_never_fired(self, monkeypatch):
+        from repro.analysis import sanitizer
+        real = sanitizer.run_sanitized
+
+        def unfiltered(*args, **kwargs):
+            result, report = real(*args, **kwargs)
+            result.counters["lq.searches_filtered"] = 0
+            result.counters["stores.safe"] = 0
+            return result, report
+
+        monkeypatch.setattr(sanitizer, "run_sanitized", unfiltered)
+        payload = api.check(static=False, sanitize=True, schemes=["dmdc"],
+                            workloads=["gzip"], instructions=1_500)
+        entry, = payload["sanitize"]
+        assert entry["clean"] is True
+        assert entry["filtered_searches"] == 0 and entry["ok"] is False
+        assert payload["ok"] is False
+
+    def test_sanitize_matches_the_cli(self, capsys):
+        import json
+        from repro.cli import main
+        args = dict(schemes=["conventional", "yla"], workloads=["gzip"],
+                    instructions=1_500)
+        payload = api.check(static=False, sanitize=True, **args)
+        assert main(["check", "--sanitize", "--scheme", "conventional",
+                     "--scheme", "yla", "--workload", "gzip", "-n", "1500",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sanitize"] == payload["sanitize"]
+
 
 class TestFacadeSurface:
     def test_all_names_resolve(self):
