@@ -28,6 +28,7 @@ Scheme strings go through the canonical label codec
 labels the CLI, bench harness, and correctness matrix speak.
 """
 
+import json
 from dataclasses import asdict, fields as dataclass_fields
 from typing import Any, Dict, Optional, Union
 
@@ -49,6 +50,7 @@ __all__ = [
     "parse_scheme",
     "parse_workload",
     "point_for_request",
+    "slice_id",
 ]
 
 NAMED_CONFIGS: Dict[str, MachineConfig] = {
@@ -220,6 +222,17 @@ def point_for_request(request: RunRequest) -> Dict[str, Any]:
     if overrides:
         point["overrides"] = overrides
     return point
+
+
+def slice_id(point: Dict[str, Any]) -> str:
+    """Everything about a canonical point except its scheme.
+
+    Points that share a slice differ only in the checking scheme: the
+    baseline of a sweep is injected once per slice, and speedups divide
+    by the slice's baseline run.
+    """
+    rest = {key: value for key, value in point.items() if key != "scheme"}
+    return json.dumps(rest, sort_keys=True, separators=(",", ":"))
 
 
 def canonical_point(payload: object,

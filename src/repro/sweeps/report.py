@@ -13,18 +13,18 @@ energy model exactly.
 gated in CI by :func:`validate_report_payload`.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.schemes import build_scheme
 from repro.errors import ReproError
-from repro.sim.config import SchemeConfig
+from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.stats.aggregate import geometric_mean
 from repro.stats.counters import CounterSet
 from repro.stats.report import format_table
 from repro.sweeps.grid import SCHEME_AXES
-from repro.sweeps.points import NAMED_CONFIGS, parse_scheme
+from repro.sweeps.points import normalize_point, parse_scheme, slice_id
 
 __all__ = ["REPORT_SCHEMA", "ReportError", "SweepReport",
            "report_from_ledger", "validate_report_payload"]
@@ -41,53 +41,24 @@ def _workload_id(point: Dict[str, Any]) -> str:
     return workload if isinstance(workload, str) else workload["name"]
 
 
-def _slice_id(point: Dict[str, Any]) -> str:
-    """Everything about a point except its scheme (speedup denominator)."""
-    rest = {key: value for key, value in point.items() if key != "scheme"}
-    return json.dumps(rest, sort_keys=True, separators=(",", ":"))
-
-
-def _runtime_scheme_name(scheme: SchemeConfig) -> str:
-    """The ``SimulationResult.scheme_name`` a run of this scheme reports
-    (what :class:`EnergyModel` dispatches on)."""
-    if scheme.kind != "dmdc":
-        return scheme.kind
-    name = "dmdc-local" if scheme.local else "dmdc-global"
-    if scheme.checking_queue_entries is not None:
-        name += "-queue"
-    if scheme.coherence:
-        name += "-coherent"
-    return name
-
-
-def _reconstruct(entry: Dict[str, Any]) -> SimulationResult:
+def _reconstruct(entry: Dict[str, Any], machine: MachineConfig) -> SimulationResult:
     """A ledger entry -> the result the energy model needs.
 
     Histograms are not ledgered (the energy model never reads them);
-    everything it does read — counters, cycles, scheme name, and the
-    machine geometry recovered from the canonical point — round-trips
-    exactly.
+    everything it does read — counters, cycles, and the scheme name the
+    scheme itself reports (what :class:`EnergyModel` dispatches on) —
+    round-trips exactly.
     """
-    point = entry["point"]
-    scheme = parse_scheme(point["scheme"])
     summary = entry["summary"]
     return SimulationResult(
-        workload=_workload_id(point),
+        workload=_workload_id(entry["point"]),
         group="",
-        config_name=point["config"],
-        scheme_name=_runtime_scheme_name(scheme),
+        config_name=machine.name,
+        scheme_name=build_scheme(machine.scheme, machine).name,
         cycles=int(summary["cycles"]),
         committed=int(summary["committed"]),
         counters=CounterSet.from_dict(entry["counters"]),
     )
-
-
-def _machine(point: Dict[str, Any]):
-    config = NAMED_CONFIGS[point["config"]]
-    overrides = point.get("overrides") or {}
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config.with_scheme(parse_scheme(point["scheme"]))
 
 
 def _axis_values(point: Dict[str, Any]) -> Dict[str, Any]:
@@ -114,6 +85,7 @@ def _axis_values(point: Dict[str, Any]) -> Dict[str, Any]:
 class _Row:
     key: str
     point: Dict[str, Any]
+    machine: MachineConfig
     workload: str
     label: str
     slice_id: str
@@ -147,13 +119,15 @@ class SweepReport:
         rows: List[_Row] = []
         for entry in entries:
             point = entry["point"]
+            machine = normalize_point(point).config
             rows.append(_Row(
                 key=entry["key"],
                 point=point,
+                machine=machine,
                 workload=_workload_id(point),
-                label=parse_scheme(point["scheme"]).label(),
-                slice_id=_slice_id(point),
-                result=_reconstruct(entry),
+                label=machine.scheme.label(),
+                slice_id=slice_id(point),
+                result=_reconstruct(entry, machine),
             ))
 
         labels: List[str] = []
@@ -210,7 +184,7 @@ class SweepReport:
             if base is None:
                 continue
             if row.slice_id not in models:
-                models[row.slice_id] = EnergyModel(_machine(base.point))
+                models[row.slice_id] = EnergyModel(base.machine)
             model = models[row.slice_id]
             for item in (base, row):
                 if (row.slice_id, item.key) not in breakdowns:
