@@ -1,7 +1,7 @@
 """Cycle-exact equivalence of the fast path vs. plain stepping.
 
-The event-horizon cycle skipper (``Processor._maybe_fast_forward``) must be
-behaviourally invisible: for every scheme and workload, a run with the fast
+The event-horizon cycle skipper (the fast-forward block at the top of the
+cycle loop in ``SoaKernel.run``) must be behaviourally invisible: for every scheme and workload, a run with the fast
 path enabled must produce a `to_dict()` payload bit-identical to a run with
 ``REPRO_NO_FASTPATH=1`` — same cycles, same counters, same histograms.
 These tests pin that invariant for every scheme family the simulator
