@@ -1,8 +1,10 @@
 """Benchmark harness support.
 
-Each benchmark regenerates one table/figure of the paper via the
-corresponding :mod:`repro.experiments` module, timed by pytest-benchmark
-(single round — these are full experiment sweeps, not microbenchmarks).
+Each benchmark regenerates one table/figure of the paper through
+:func:`repro.experiments.registry.run_experiment` (the one experiment
+path: plan the artifact's design points, simulate them as one engine
+batch, analyze and render), timed by pytest-benchmark (single round —
+these are full experiment sweeps, not microbenchmarks).
 Rendered tables are printed and archived under ``benchmarks/results/`` so
 ``pytest benchmarks/ --benchmark-only`` leaves the reproduced artifacts on
 disk.

@@ -277,7 +277,7 @@ def get_engine(options: Optional[EngineOptions] = None) -> ExecutionEngine:
     (:meth:`EngineOptions.from_env`); passing explicit ``options`` pins
     it.  Sharing one engine across experiments is what turns N
     overlapping sweeps into one deduplicated one: its memo and pool
-    persist between ``run_suite`` calls.
+    persist between batches.
     """
     global _default_engine, _default_options
     if _default_engine is not None and options is None and _default_options is None:
