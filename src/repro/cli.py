@@ -223,18 +223,20 @@ def cmd_experiment_all(args, engine) -> int:
     from repro.experiments.registry import EXPERIMENTS, run_experiments
 
     start = time.perf_counter()
-
-    def announce(planned: int, unique: int) -> None:
-        print(f"engine: {planned} design points across {len(EXPERIMENTS)} experiments "
-              f"-> {unique} unique ({planned - unique} duplicates folded)",
-              file=sys.stderr)
-
     before = dict(engine.stats.summary())
+
+    def progress(done: int, total: int, request, source: str) -> None:
+        if done == 1:  # the batch is planned and deduplicated by now
+            planned = int(engine.stats.requested - before["requested"])
+            print(f"engine: {planned} design points across {len(EXPERIMENTS)} "
+                  f"experiments -> {total} unique ({planned - total} duplicates "
+                  f"folded)", file=sys.stderr)
+        _engine_progress(done, total, request, source)
+
     kwargs = {"budget": args.budget} if args.budget else {}
-    engine.progress = _engine_progress
+    engine.progress = progress
     try:
-        artifacts = run_experiments(list(EXPERIMENTS), engine=engine,
-                                    on_plan=announce, **kwargs)
+        artifacts = run_experiments(list(EXPERIMENTS), engine=engine, **kwargs)
     finally:
         engine.progress = None
     sweep_wall = time.perf_counter() - start

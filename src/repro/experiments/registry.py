@@ -16,10 +16,9 @@ and renders each.  ``repro experiment [--all]``, the service's
 """
 
 from types import ModuleType
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.exec.engine import ExecutionEngine, get_engine
-from repro.exec.request import RunRequest
 from repro.experiments import (
     ablation_storesets,
     ablation_table_size,
@@ -89,39 +88,26 @@ EXPERIMENTS: Dict[str, Experiment] = {
 
 def run_experiments(exp_ids: Sequence[str],
                     engine: Optional[ExecutionEngine] = None,
-                    on_plan: Optional[Callable[[int, int], None]] = None,
                     **kwargs) -> List[Artifact]:
     """Plan, simulate once, analyze and render the named experiments.
 
     ``kwargs`` (``budget=`` and any experiment parameter) go to every
-    named experiment.  Each experiment's points are planned, the
-    deduplicated union runs as one batch on ``engine`` (the process-wide
-    engine by default), and ``on_plan(planned, unique)`` is told the
-    point counts before it starts.
+    named experiment.  Every planned point goes to ``engine`` (the
+    process-wide engine by default) in one batch, which simulates each
+    unique point once; its ``stats`` count the planned and unique points.
     """
     budget = kwargs.pop("budget", None)
-    plans = []
-    for exp_id in exp_ids:
-        exp = EXPERIMENTS[exp_id]
-        plans.append((exp, exp.points(budget, **kwargs)))
-
-    union: Dict[str, RunRequest] = {}
-    for _, points in plans:
-        for requests in points.values():
-            for request in requests.values():
-                union.setdefault(request.cache_key(), request)
-    if on_plan is not None:
-        planned = sum(len(requests) for _, points in plans for requests in points.values())
-        on_plan(planned, len(union))
+    plans = [(EXPERIMENTS[exp_id], EXPERIMENTS[exp_id].points(budget, **kwargs))
+             for exp_id in exp_ids]
+    batch = [request for _, points in plans
+             for requests in points.values() for request in requests.values()]
     engine = engine if engine is not None else get_engine()
-    results = dict(zip(union, engine.run(list(union.values()))))
+    results = iter(engine.run(batch))
 
     artifacts = []
     for exp, points in plans:
-        sweeps = {
-            label: {name: results[request.cache_key()] for name, request in requests.items()}
-            for label, requests in points.items()
-        }
+        sweeps = {label: {name: next(results) for name in requests}
+                  for label, requests in points.items()}
         data = exp.module.analyze(sweeps, **exp.params, **kwargs)
         artifacts.append(Artifact(exp.id, data, exp.module.render(data)))
     return artifacts

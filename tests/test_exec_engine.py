@@ -95,22 +95,14 @@ class TestPlanner:
         monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "1")
         monkeypatch.setenv("REPRO_PARALLEL", "0")
 
-    def _run(self, exp_ids, engine):
-        counts = []
-        artifacts = run_experiments(exp_ids, engine=engine, budget=BUDGET,
-                                    on_plan=lambda planned, unique: counts.append(
-                                        (planned, unique)))
-        return artifacts, counts[0]
-
     def test_shared_points_fold_in_union(self, engine):
         # table2 (global DMDC suite) is a strict subset of safe_loads'
         # "with safe loads" sweep: identical configs, workloads, budget.
-        artifacts, (planned, unique) = self._run(["table2", "safe_loads"], engine)
-        assert {a.id for a in artifacts} == {"table2", "safe_loads"}
+        artifacts = run_experiments(["table2", "safe_loads"], engine=engine, budget=BUDGET)
+        assert [a.id for a in artifacts] == ["table2", "safe_loads"]
         suite_size = len(EXPERIMENTS["table2"].points(BUDGET)["dmdc"])
-        assert planned == 3 * suite_size
-        assert unique == 2 * suite_size
-        assert engine.stats.requested == engine.stats.unique == unique
+        assert engine.stats.requested == 3 * suite_size
+        assert engine.stats.unique == 2 * suite_size
 
     def test_every_experiment_declares_a_plan(self):
         assert len(EXPERIMENTS) == 17
@@ -119,8 +111,8 @@ class TestPlanner:
             assert points and all(points.values()), f"{exp.id} planned no design points"
 
     def test_run_all_simulates_each_unique_point_once(self, engine):
-        artifacts, (_, unique) = self._run(["table2", "safe_loads"], engine)
-        assert engine.stats.executed == unique
+        artifacts = run_experiments(["table2", "safe_loads"], engine=engine, budget=BUDGET)
+        assert engine.stats.executed == engine.stats.unique
         assert engine.stats.memo_hits == 0
         assert {a.id for a in artifacts} == {"table2", "safe_loads"}
         for artifact in artifacts:
@@ -129,9 +121,9 @@ class TestPlanner:
     def test_cached_rerun_is_identical_and_simulation_free(self, tmp_path):
         cache_dir = tmp_path / "c"
         with ExecutionEngine(cache=ResultCache(cache_dir), max_workers=1) as cold:
-            first, _ = self._run(["table2"], cold)
+            first = run_experiments(["table2"], engine=cold, budget=BUDGET)
         with ExecutionEngine(cache=ResultCache(cache_dir), max_workers=1) as warm:
-            second, _ = self._run(["table2"], warm)
+            second = run_experiments(["table2"], engine=warm, budget=BUDGET)
             assert warm.stats.executed == 0
             assert warm.stats.hit_rate == 1.0
         assert first[0].text == second[0].text  # byte-identical rendering
@@ -142,15 +134,13 @@ class TestSuiteHelpers:
         monkeypatch.setenv("REPRO_PARALLEL", "0")
         monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "1")
         config = small_config(wrongpath_loads=False)
-        counts = []
         with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as eng:
-            artifact, = run_experiments(
-                ["fig4"], engine=eng, budget=BUDGET, configs={"a": config, "b": config},
-                on_plan=lambda planned, unique: counts.append((planned, unique)))
+            artifact, = run_experiments(["fig4"], engine=eng, budget=BUDGET,
+                                        configs={"a": config, "b": config})
             # 2 labels x (base, dmdc) x 2 workloads, but only 2 x 2 unique
             # design points, each simulated once, in one engine batch.
-            assert counts == [(8, 4)]
-            assert eng.stats.requested == eng.stats.executed == 4
+            assert eng.stats.requested == 8
+            assert eng.stats.unique == eng.stats.executed == 4
         rows = {(r["config"], r["group"]): dict(r, config=None) for r in artifact.data["rows"]}
         assert rows[("a", "INT")] == rows[("b", "INT")]
         assert rows[("a", "FP")] == rows[("b", "FP")]
