@@ -41,13 +41,12 @@ def suite_workloads() -> List[str]:
     return INT_WORKLOADS + FP_WORKLOADS
 
 
-def suite(configs: Dict[str, MachineConfig], budget: Optional[int] = None,
-          workloads: Optional[Sequence[str]] = None, seed: int = 1) -> Points:
+def suite(configs: Dict[str, MachineConfig], budget: Optional[int] = None) -> Points:
     """Every suite workload under each labelled configuration."""
-    names = list(workloads) if workloads is not None else suite_workloads()
+    names = suite_workloads()
     budget = budget if budget is not None else instruction_budget()
     return {
-        label: {name: RunRequest(config, name, budget, seed) for name in names}
+        label: {name: RunRequest(config, name, budget) for name in names}
         for label, config in configs.items()
     }
 

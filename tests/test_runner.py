@@ -74,11 +74,13 @@ class TestExperimentHelpers:
         from repro.exec.engine import get_engine
         from repro.experiments.common import suite
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        points = suite({"tiny": tiny_config}, budget=800, workloads=["gzip", "swim"])
-        assert list(points) == ["tiny"] and list(points["tiny"]) == ["gzip", "swim"]
+        monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "1")
+        points = suite({"tiny": tiny_config}, budget=800)
+        names = list(points["tiny"])
+        assert list(points) == ["tiny"] and len(names) == 2
         results = get_engine().run(list(points["tiny"].values()))
-        assert [r.workload for r in results] == ["gzip", "swim"]
-        assert results[1].group == "FP"
+        assert [r.workload for r in results] == names
+        assert [r.group for r in results] == ["INT", "FP"]
 
     def test_group_means(self):
         from repro.experiments.common import by_group, mean
