@@ -34,7 +34,7 @@ from repro.analysis.probes import AgeOrderProbe, ProbeSet, WindowProbe, YlaProbe
 from repro.analysis.shadow import ShadowLSQ
 from repro.core.schemes.base import SoaHooks
 from repro.errors import ConfigError, SanitizerError
-from repro.sim.config import MachineConfig, SchemeConfig, scheme_matrix
+from repro.sim.config import MachineConfig, scheme_matrix
 
 #: The canonical scheme matrix the correctness suites sweep: one label per
 #: scheme family the simulator implements (the fast-path equivalence
