@@ -48,6 +48,7 @@ class Experiment(NamedTuple):
     params: Dict[str, object] = {}
 
     def points(self, budget: Optional[int] = None, **kwargs) -> Points:
+        """This artifact's design points: its fixed params plus ``kwargs``."""
         return self.module.points(budget, **self.params, **kwargs)
 
 
